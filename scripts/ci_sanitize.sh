@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ASan + UBSan build-and-ctest job: builds the whole tree with
 # -fsanitize=address,undefined (-fno-sanitize-recover=all, so any finding is
-# a hard failure) and runs the full test suite.  This keeps the ledger /
+# a hard failure) and -Werror (AEM_WERROR, so the tree stays warning-clean)
+# and runs the full test suite.  This keeps the ledger /
 # reservation lifetime fixes honest: a double-release, use-after-move, or
 # signed overflow in the accounting layer fails this job even when the
 # release build happens to pass.
@@ -14,7 +15,8 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DAEM_SANITIZE=ON
+  -DAEM_SANITIZE=ON \
+  -DAEM_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
 # halt_on_error: first ASan report aborts; UBSan already aborts via

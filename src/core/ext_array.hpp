@@ -75,7 +75,8 @@ class ExtArray : private BlockCache::Sink {
   ExtArray(Machine& mach, std::size_t elems, std::string name)
       : mach_(&mach),
         id_(mach.register_array(std::move(name))),
-        data_(elems) {}
+        data_(elems),
+        blocks_(mach.n_of(elems)) {}
 
   /// Moved-from arrays become machine-less placeholders (operations throw
   /// std::logic_error) instead of silently aliasing the old machine.  The
@@ -85,6 +86,7 @@ class ExtArray : private BlockCache::Sink {
       : mach_(std::exchange(o.mach_, nullptr)),
         id_(std::exchange(o.id_, 0)),
         data_(std::move(o.data_)),
+        blocks_(std::exchange(o.blocks_, 0)),
         atom_of_(std::move(o.atom_of_)),
         rec_(std::move(o.rec_)) {
     repoint_cache_sink();
@@ -96,6 +98,7 @@ class ExtArray : private BlockCache::Sink {
       mach_ = std::exchange(o.mach_, nullptr);
       id_ = std::exchange(o.id_, 0);
       data_ = std::move(o.data_);
+      blocks_ = std::exchange(o.blocks_, 0);
       atom_of_ = std::move(o.atom_of_);
       rec_ = std::move(o.rec_);
       repoint_cache_sink();
@@ -114,9 +117,7 @@ class ExtArray : private BlockCache::Sink {
 
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
-  std::size_t blocks() const {
-    return mach_ == nullptr ? 0 : mach_->n_of(data_.size());
-  }
+  std::size_t blocks() const { return blocks_; }
   std::uint32_t id() const { return id_; }
   Machine& machine() const {
     check_attached();
@@ -256,6 +257,7 @@ class ExtArray : private BlockCache::Sink {
     if (elems <= data_.size()) return;
     const std::size_t old_blocks = blocks();
     data_.resize(elems);
+    if (mach_ != nullptr) blocks_ = mach_->n_of(elems);
     if (rec_ != nullptr) {
       if (!rec_->remap.empty() && blocks() > rec_->spare_base)
         throw std::logic_error(
@@ -338,10 +340,10 @@ class ExtArray : private BlockCache::Sink {
 
   void check_block(std::uint64_t bi) const {
     check_attached();
-    if (bi >= blocks())
+    if (bi >= blocks_)
       throw std::out_of_range("ExtArray: block index " + std::to_string(bi) +
                               " out of range (array has " +
-                              std::to_string(blocks()) + " blocks)");
+                              std::to_string(blocks_) + " blocks)");
   }
 
   void annotate_atoms(IoTicket t, std::span<const T> src, std::size_t count) {
@@ -645,6 +647,9 @@ class ExtArray : private BlockCache::Sink {
   Machine* mach_ = nullptr;
   std::uint32_t id_ = 0;
   std::vector<T> data_;
+  // Block count of data_, kept in step with its size so the per-transfer
+  // bounds check compares instead of dividing.
+  std::size_t blocks_ = 0;
   std::function<std::uint64_t(const T&)> atom_of_;
   // Mutable: reads must be able to lazily create recovery state and retry.
   mutable std::unique_ptr<Recovery> rec_;

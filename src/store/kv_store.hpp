@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -190,32 +191,12 @@ struct StoreStats {
 
 namespace detail {
 
-/// Random-access block reads over an ExtArray<uint64_t> with a one-block
-/// buffer, for the build-time payload gather (input payload positions arrive
-/// in key order, i.e. scattered).  Each distinct block switch is one charged
-/// read; consecutive words from the same block are free.
-class WordReader {
- public:
-  explicit WordReader(const ExtArray<std::uint64_t>& arr)
-      : arr_(&arr), buf_(arr.machine(), arr.machine().B()) {}
-
-  std::uint64_t word(std::uint64_t pos) {
-    const std::size_t B = arr_->machine().B();
-    const std::uint64_t bi = pos / B;
-    if (!loaded_ || bi != block_) {
-      arr_->read_block(bi, buf_.span());
-      block_ = bi;
-      loaded_ = true;
-    }
-    return buf_[static_cast<std::size_t>(pos % B)];
-  }
-
- private:
-  const ExtArray<std::uint64_t>* arr_;
-  Buffer<std::uint64_t> buf_;
-  std::uint64_t block_ = 0;
-  bool loaded_ = false;
-};
+/// A KvStore::gather() sink appending to `out`.
+inline auto append_to(std::vector<std::uint64_t>& out) {
+  return [&out](std::span<const std::uint64_t> words) {
+    out.insert(out.end(), words.begin(), words.end());
+  };
+}
 
 }  // namespace detail
 
@@ -404,52 +385,51 @@ class KvStore {
 
   // --- serving -------------------------------------------------------------
 
-  /// Point query.  Returns the value of the LAST record with `key` in input
-  /// order (stable sort keeps duplicate runs in insertion order, and the
-  /// located page is the last one whose fence is <= key, so "latest insert
-  /// wins" — upsert semantics).  Disengaged optional when the key is absent;
-  /// an engaged empty vector is a present key with an empty value.
-  std::optional<std::vector<std::uint64_t>> get(std::uint64_t key) {
+  /// Point query into caller-owned storage: clears `out`, then fills it with
+  /// the value of the LAST record with `key` in input order (stable sort
+  /// keeps duplicate runs in insertion order, and the located page is the
+  /// last one whose fence is <= key, so "latest insert wins" — upsert
+  /// semantics) and returns true.  Returns false, `out` left empty, when the
+  /// key is absent; true with an empty `out` is a present key with an empty
+  /// value.  Reusing `out` across calls makes a hit allocation-free.
+  bool get(std::uint64_t key, std::vector<std::uint64_t>& out) {
     check_built();
     ++stats_.gets;
+    out.clear();
     std::uint64_t log_reads = 0;
-    const auto miss = [&]() -> std::optional<std::vector<std::uint64_t>> {
+    const auto miss = [&]() {
       note_get(log_reads);
-      return std::nullopt;
+      return false;
     };
     if (records_ == 0) return miss();
 
-    Buffer<Slot> page(*mach_, mach_->B());
+    const std::size_t B = mach_->B();
+    MemoryReservation page_res(mach_->ledger(), B);
+    const std::span<Slot> page = page_frame(B);
     std::size_t count = 0;
-    const std::optional<std::size_t> located =
-        locate_page(key, page, count, log_reads);
-    if (!located) return miss();  // key precedes every stored key
-
-    // Last slot in the page with this key (duplicate runs never extend into
-    // the next page: its fence would then be <= key, contradicting the page
-    // choice above).
-    const Slot* begin = page.data();
-    const Slot* end = begin + count;
-    const Slot* it = std::upper_bound(
-        begin, end, key,
-        [](std::uint64_t k, const Slot& s) { return k < s.key; });
-    if (it == begin || (it - 1)->key != key) return miss();
-    const Slot& hit = *(it - 1);
+    // A key preceding every stored key, or absent from its page, misses.
+    if (!locate_page(key, page, count, log_reads)) return miss();
+    const Slot* hit = find_last(page.first(count), key);
+    if (hit == nullptr) return miss();
     ++stats_.get_hits;
 
-    std::vector<std::uint64_t> value;
-    if (hit.len == 1) {
-      value.push_back(hit.pos);
-    } else if (hit.len >= 2) {
-      value.reserve(static_cast<std::size_t>(hit.len));
-      Scanner<std::uint64_t> pay(payload_, hit.pos, hit.pos + hit.len);
-      const std::uint64_t payload_reads =
-          util::ceil_div(hit.pos + hit.len, mach_->B()) -
-          hit.pos / mach_->B();
-      while (!pay.done()) value.push_back(pay.next());
-      stats_.get_payload_reads += payload_reads;
+    if (hit->len == 1) {
+      out.push_back(hit->pos);
+    } else if (hit->len >= 2) {
+      MemoryReservation pay_res(mach_->ledger(), B);
+      std::uint64_t loaded = kNoBlock;
+      stats_.get_payload_reads +=
+          gather(payload_, hit->pos, hit->len, loaded, detail::append_to(out));
     }
     note_get(log_reads);
+    return true;
+  }
+
+  /// Point query returning the value; a disengaged optional when the key is
+  /// absent.  Same charges as get(key, out).
+  std::optional<std::vector<std::uint64_t>> get(std::uint64_t key) {
+    std::vector<std::uint64_t> value;
+    if (!get(key, value)) return std::nullopt;
     return value;
   }
 
@@ -477,24 +457,19 @@ class KvStore {
     };
     if (records_ == 0) return miss();
 
-    Buffer<Slot> page(*mach_, mach_->B());
+    MemoryReservation page_res(mach_->ledger(), mach_->B());
+    const std::span<Slot> page = page_frame(mach_->B());
     std::size_t count = 0;
     const std::optional<std::size_t> located =
         locate_page(key, page, count, log_reads);
     if (!located) return miss();
-
-    Slot* begin = page.data();
-    Slot* end = begin + count;
-    Slot* it = std::upper_bound(
-        begin, end, key,
-        [](std::uint64_t k, const Slot& s) { return k < s.key; });
-    if (it == begin || (it - 1)->key != key) return miss();
-    Slot& hit = *(it - 1);
+    Slot* hit = find_last(page.first(count), key);
+    if (hit == nullptr) return miss();
     ++stats_.put_hits;
-    if (hit.len >= 2) stats_.orphaned_words += hit.len;
-    hit.len = 1;
-    hit.pos = value;
-    log_.write_block(*located, std::span<const Slot>(page.data(), count));
+    if (hit->len >= 2) stats_.orphaned_words += hit->len;
+    hit->len = 1;
+    hit->pos = value;
+    log_.write_block(*located, page.first(count));
     ++stats_.put_writes;
     note_put(log_reads);
     return true;
@@ -540,14 +515,14 @@ class KvStore {
                      });
 
     std::uint64_t log_reads = 0;
-    Buffer<Slot> page(*mach_, mach_->B());
-    constexpr std::size_t kNoPage = std::numeric_limits<std::size_t>::max();
-    std::size_t cur = kNoPage;  // loaded page, or kNoPage
+    MemoryReservation page_res(mach_->ledger(), mach_->B());
+    const std::span<Slot> page = page_frame(mach_->B());
+    std::size_t cur = kNoBlock;  // loaded page, or kNoBlock
     std::size_t count = 0;
     bool dirty = false;
     const auto flush = [&]() {
       if (!dirty) return;
-      log_.write_block(cur, std::span<const Slot>(page.data(), count));
+      log_.write_block(cur, page.first(count));
       ++stats_.put_writes;
       dirty = false;
     };
@@ -558,23 +533,17 @@ class KvStore {
       const std::size_t bi = r - 1;
       if (bi != cur) {
         flush();
-        count = log_.block_elems(bi);
-        log_.read_block(bi, page.span());
+        count = log_.read_block(bi, page).count;
         ++log_reads;  // the group's one absorbed read
         cur = bi;
       }
-      Slot* begin = page.data();
-      Slot* end = begin + count;
-      Slot* it = std::upper_bound(
-          begin, end, key,
-          [](std::uint64_t k, const Slot& s) { return k < s.key; });
-      if (it == begin || (it - 1)->key != key) continue;  // in-page miss
-      Slot& hit = *(it - 1);
+      Slot* hit = find_last(page.first(count), key);
+      if (hit == nullptr) continue;  // in-page miss
       ++stats_.put_hits;
       ++hits;
-      if (hit.len >= 2) stats_.orphaned_words += hit.len;
-      hit.len = 1;
-      hit.pos = value;
+      if (hit->len >= 2) stats_.orphaned_words += hit->len;
+      hit->len = 1;
+      hit->pos = value;
       dirty = true;
     }
     flush();
@@ -593,53 +562,76 @@ class KvStore {
     ++stats_.scans;
     if (records_ == 0 || lo > hi) return 0;
 
+    const std::size_t B = mach_->B();
     // First page that can contain a key >= lo: the last page whose fence is
     // STRICTLY below lo (every earlier page ends before lo; later pages may
     // all start with lo itself when a duplicate run of lo spans pages), or
     // page 0 when no fence is below lo.  That is locate_page(lo - 1), which
     // also keeps the quantized index exact.  Under the compact index this
-    // probe-reads its candidate page(s); the Scanner below re-reads the
+    // probe-reads its candidate page(s); the page loop below re-reads the
     // start page, a bounded price (one read, or a pool hit) for keeping the
     // sequential path simple.
     std::size_t start_page = 0;
     if (lo > 0) {
-      Buffer<Slot> page(*mach_, mach_->B());
+      MemoryReservation probe_res(mach_->ledger(), B);
       std::size_t count = 0;
       std::uint64_t probe_reads = 0;
-      start_page = locate_page(lo - 1, page, count, probe_reads).value_or(0);
+      start_page =
+          locate_page(lo - 1, page_frame(B), count, probe_reads).value_or(0);
     }
 
-    // Batched fast path: the fence index bounds the page range host-side,
-    // so the sequential log reads can go out as chunked Machine::submit
-    // batches — same blocks, same order, same charges as the Scanner path.
-    if (cfg_.index == IndexKind::kFence && read_batch_blocks() >= 2) {
-      const std::size_t visited = scan_batched(lo, hi, visit, start_page);
-      stats_.scan_records += visited;
-      return visited;
-    }
-
+    // The page loop reads from start_page until it meets a key past hi or
+    // the end of the log.  The pages [start_page, q) have fences <= hi and
+    // the log is globally sorted, so each of them is read in full before a
+    // key past hi can show up (on page q - 1 at the earliest).  Under the
+    // fence index q is known host-side, and with a chunk >= 2 those reads go
+    // out as chunk-sized Machine::submit batches; every other page is one
+    // plain read_block.  Same blocks, same order, same charges at any chunk.
+    const std::size_t chunk =
+        cfg_.index == IndexKind::kFence ? read_batch_blocks() : 1;
+    const std::size_t q = chunk >= 2 ? fence_idx_.rank_upper(hi) : 0;
+    MemoryReservation frame_res(mach_->ledger(), chunk * B);
+    const std::span<Slot> frame = page_frame(chunk * B);
+    // Taken at the first spilled value: an all-inline scan holds no
+    // payload block.
+    MemoryReservation pay_res;
+    std::uint64_t pay_block = kNoBlock;
+    scanning_ = true;  // cleared on every exit, exceptions included
+    const std::unique_ptr<bool, void (*)(bool*)> scan_scope(
+        &scanning_, [](bool* flag) { *flag = false; });
     std::size_t visited = 0;
-    Scanner<Slot> log(log_, start_page * mach_->B(), records_);
-    // Lazily constructed so an all-inline scan charges no payload reads.
-    std::optional<Scanner<std::uint64_t>> pay;
-    std::vector<std::uint64_t> value;
-    while (!log.done()) {
-      const Slot s = log.next();
-      if (s.key < lo) continue;
-      if (s.key > hi) break;
-      value.clear();
-      if (s.len == 1) {
-        value.push_back(s.pos);
-      } else if (s.len >= 2) {
-        if (!pay) pay.emplace(payload_, 0, payload_words_);
-        // Spilled positions are assigned in log order, so one forward
-        // scanner with skip() covers every spilled value in the range.
-        pay->skip(static_cast<std::size_t>(s.pos) - pay->position());
-        for (std::uint64_t w = 0; w < s.len; ++w)
-          value.push_back(pay->next());
+    bool past_hi = false;
+    for (std::size_t p = start_page; p < log_.blocks() && !past_hi;) {
+      std::size_t total = 0;
+      if (p < q) {
+        const std::size_t n = std::min(chunk, q - p);
+        total = log_.read_blocks(p, n, frame);
+        p += n;
+      } else {
+        total = log_.read_block(p++, frame).count;
       }
-      visit(s.key, std::span<const std::uint64_t>(value));
-      ++visited;
+      for (const Slot& s : frame.first(total)) {
+        if (s.key < lo) continue;
+        if (s.key > hi) {
+          past_hi = true;
+          break;
+        }
+        std::span<const std::uint64_t> value;
+        if (s.len == 1) {
+          value = std::span<const std::uint64_t>(&s.pos, 1);
+        } else if (s.len >= 2) {
+          if (!pay_res.attached())
+            pay_res = MemoryReservation(mach_->ledger(), B);
+          // Spilled positions are assigned in log order, so one payload
+          // frame read forward covers every spilled value in the range.
+          scan_value_.clear();
+          gather(payload_, s.pos, s.len, pay_block,
+                 detail::append_to(scan_value_));
+          value = scan_value_;
+        }
+        visit(s.key, value);
+        ++visited;
+      }
     }
     stats_.scan_records += visited;
     return visited;
@@ -722,6 +714,8 @@ class KvStore {
   static constexpr std::uint64_t kPhaseLayout = 2;
   static constexpr std::uint64_t kPhaseCommitted = 3;
   static constexpr std::size_t kManifestWords = 10;
+  static constexpr std::size_t kNoBlock =
+      std::numeric_limits<std::size_t>::max();
 
   /// A decoded (and checksum-validated) manifest slot.
   struct Manifest {
@@ -743,6 +737,8 @@ class KvStore {
 
   void check_built() const {
     if (!built_) throw std::logic_error("KvStore: not built yet");
+    if (scanning_)
+      throw std::logic_error("KvStore: called from inside a scan() visitor");
   }
 
   /// The durable build body, shared by build() and recover()'s restart
@@ -797,7 +793,11 @@ class KvStore {
     Writer<Slot> out(log_, start_record, Writer<Slot>::npos, wb);
     Writer<std::uint64_t> pay(payload_, static_cast<std::size_t>(start_word),
                               Writer<std::uint64_t>::npos, wb);
-    detail::WordReader gather(in_payload);
+    // The payload gather's one-block frame: input payload positions arrive
+    // in key order, i.e. scattered, so each block switch is one charged
+    // read and consecutive words from one block are free.
+    MemoryReservation gather_res(mach.ledger(), B);
+    std::uint64_t gather_block = kNoBlock;
     std::size_t idx = start_record;
     std::uint64_t next_word = start_word;
     const std::size_t every = cfg_.manifest_interval * B;  // in records
@@ -815,8 +815,10 @@ class KvStore {
               "KvStore::build: spilled record points past the payload "
               "input");
         s.pos = next_word;
-        for (std::uint64_t w = 0; w < s.len; ++w)
-          pay.push(gather.word(src + w));
+        gather(in_payload, src, s.len, gather_block,
+               [&](std::span<const std::uint64_t> words) {
+                 for (const std::uint64_t w : words) pay.push(w);
+               });
         next_word += s.len;
         if (s.len > max_value_words_) max_value_words_ = s.len;
       }
@@ -948,23 +950,22 @@ class KvStore {
   /// q(fence) < q(key) has fence < key and terminates it, so its length is
   /// bounded by the run of adjacent fences sharing the key's top bits.
   /// `reads` is incremented once per log-block read.
-  std::optional<std::size_t> locate_page(std::uint64_t key, Buffer<Slot>& page,
+  std::optional<std::size_t> locate_page(std::uint64_t key,
+                                         std::span<Slot> page,
                                          std::size_t& count,
                                          std::uint64_t& reads) {
     if (cfg_.index == IndexKind::kFence) {
       const std::size_t r = fence_idx_.rank_upper(key);
       if (r == 0) return std::nullopt;
       const std::size_t bi = r - 1;
-      count = log_.block_elems(bi);
-      log_.read_block(bi, page.span());
+      count = log_.read_block(bi, page).count;
       ++reads;
       return bi;
     }
     std::size_t i = ef_.predecessor(quantize(key));
     if (i == EliasFano::npos) return std::nullopt;  // q(fence_0) > q(key)
     for (;;) {
-      count = log_.block_elems(i);
-      log_.read_block(i, page.span());
+      count = log_.read_block(i, page).count;
       ++reads;
       if (page[0].key <= key) return i;
       if (i == 0) return std::nullopt;
@@ -990,68 +991,48 @@ class KvStore {
     return read_batch_blocks();
   }
 
-  /// The scan() body on the batched path (kFence, plain machine): the fence
-  /// index decides host-side that the legacy Scanner would read every page
-  /// in [start_page, q) — their fences are <= hi and the log is globally
-  /// sorted, so no break can occur before the last of them — and issues
-  /// those reads as io_batch_blocks-sized batches, then reads the one extra
-  /// page the Scanner reads when the range was not already cut short.
-  /// Identical charge set and order to the Scanner path.
-  std::size_t scan_batched(
-      std::uint64_t lo, std::uint64_t hi,
-      const std::function<void(std::uint64_t key,
-                               std::span<const std::uint64_t> value)>& visit,
-      std::size_t start_page) {
+  /// The last of a located page's `slots` holding `key`, or nullptr.
+  /// Duplicate runs never extend into the next page (its fence would then
+  /// be <= key, contradicting locate_page's choice), so this is the slot
+  /// get() serves.
+  static Slot* find_last(std::span<Slot> slots, std::uint64_t key) {
+    const auto it = std::upper_bound(
+        slots.begin(), slots.end(), key,
+        [](std::uint64_t k, const Slot& s) { return k < s.key; });
+    return it == slots.begin() || (it - 1)->key != key ? nullptr : &*(it - 1);
+  }
+
+  /// The first `elems` slots of the store's reused page frame.
+  std::span<Slot> page_frame(std::size_t elems) {
+    if (frame_.size() < elems) frame_.resize(elems);
+    return std::span<Slot>(frame_.data(), elems);
+  }
+
+  /// Hands words [pos, pos + len) of `arr` to `sink`, one span per block,
+  /// through the reused payload frame.  A block is read (charged) only when
+  /// the frame does not already hold it (`loaded`, kNoBlock when empty), and
+  /// only after the sink took every word before it, so reads interleave
+  /// with whatever the sink charges exactly as word-by-word access would.
+  /// Returns the blocks read.
+  template <class Sink>
+  std::uint64_t gather(const ExtArray<std::uint64_t>& arr, std::uint64_t pos,
+                       std::uint64_t len, std::uint64_t& loaded, Sink&& sink) {
     const std::size_t B = mach_->B();
-    const std::size_t q = fence_idx_.rank_upper(hi);  // pages with fence <= hi
-    const std::size_t pages = log_.blocks();
-    const std::size_t chunk = read_batch_blocks();
-    Buffer<Slot> buf(*mach_, chunk * B);
-    std::optional<Scanner<std::uint64_t>> pay;
-    std::vector<std::uint64_t> value;
-    std::size_t visited = 0;
-    bool past_hi = false;
-
-    auto consume = [&](const Slot* slots, std::size_t count) {
-      for (std::size_t k = 0; k < count; ++k) {
-        const Slot& s = slots[k];
-        if (s.key < lo) continue;
-        if (s.key > hi) {
-          past_hi = true;
-          return;
-        }
-        value.clear();
-        if (s.len == 1) {
-          value.push_back(s.pos);
-        } else if (s.len >= 2) {
-          if (!pay) pay.emplace(payload_, 0, payload_words_);
-          pay->skip(static_cast<std::size_t>(s.pos) - pay->position());
-          for (std::uint64_t w = 0; w < s.len; ++w)
-            value.push_back(pay->next());
-        }
-        visit(s.key, std::span<const std::uint64_t>(value));
-        ++visited;
+    if (pay_frame_.size() < B) pay_frame_.resize(B);
+    std::uint64_t reads = 0;
+    for (const std::uint64_t end = pos + len; pos < end;) {
+      const std::uint64_t bi = pos / B;
+      if (bi != loaded) {
+        arr.read_block(bi, pay_frame_);
+        loaded = bi;
+        ++reads;
       }
-    };
-
-    std::size_t p = start_page;
-    while (!past_hi && p < q) {
-      const std::size_t n = std::min(chunk, q - p);
-      std::size_t total = 0;
-      for (std::size_t j = 0; j < n; ++j) total += log_.block_elems(p + j);
-      log_.read_blocks(p, n, std::span<Slot>(buf.data(), total));
-      consume(buf.data(), total);
-      p += n;
+      const std::uint64_t stop = std::min<std::uint64_t>(end, (bi + 1) * B);
+      sink(std::span<const std::uint64_t>(pay_frame_).subspan(
+          pos - bi * B, stop - pos));
+      pos = stop;
     }
-    // Page q starts past hi (its fence is > hi); the Scanner still reads it
-    // to see that first key, unless an in-page break or the end of the
-    // records already stopped the loop.
-    if (!past_hi && p < pages) {
-      const std::size_t count = log_.block_elems(p);
-      log_.read_block(p, std::span<Slot>(buf.data(), B));
-      consume(buf.data(), count);
-    }
-    return visited;
+    return reads;
   }
 
   void note_get(std::uint64_t log_reads) {
@@ -1095,6 +1076,15 @@ class KvStore {
   std::uint64_t build_writes_ = 0;
   std::uint64_t build_cost_ = 0;
   StoreStats stats_;
+
+  // Host frames the serving calls reuse instead of allocating per call.
+  // Each call still charges its own MemoryReservation while it holds one,
+  // so the ledger sees exactly the per-call buffers.  A scan() visitor must
+  // not call back into the store, which would overwrite them (scanning_).
+  std::vector<Slot> frame_;                // page frame, >= B slots
+  std::vector<std::uint64_t> pay_frame_;   // payload frame, B words
+  std::vector<std::uint64_t> scan_value_;  // scan()'s spilled value
+  bool scanning_ = false;
 };
 
 }  // namespace aem::store

@@ -267,7 +267,7 @@ class TrafficEngine {
     switch (r.op) {
       case OpKind::kGet:
         ++stats_.gets;
-        if (store_->get(r.key)) ++stats_.get_hits;
+        if (store_->get(r.key, value_)) ++stats_.get_hits;
         break;
       case OpKind::kPut:
         ++stats_.puts;
@@ -297,6 +297,7 @@ class TrafficEngine {
   std::uint64_t window_spent_ = 0;
   EngineStats stats_;
   QHistogram hist_;
+  std::vector<std::uint64_t> value_;  // reused by every get
 };
 
 }  // namespace aem::traffic

@@ -494,6 +494,36 @@ TEST(ExtArrayTest, GrowToIsFree) {
   EXPECT_EQ(arr.size(), 64u);
 }
 
+TEST(ExtArrayTest, BlockBoundsFollowGrowthAndMoves) {
+  Machine mach(small_config());  // B = 8
+  ExtArray<int> arr(mach, 12, "a");
+  Buffer<int> buf(mach, 8);
+  EXPECT_EQ(arr.blocks(), 2u);
+  EXPECT_THROW(arr.read_block(2, buf.span()), std::out_of_range);
+  EXPECT_THROW(arr.write_block(2, std::span<const int>(buf.data(), 8)),
+               std::out_of_range);
+
+  // Growth turns the partial block into a full one and appends new blocks.
+  arr.grow_to(17);
+  EXPECT_EQ(arr.blocks(), 3u);
+  EXPECT_EQ(arr.block_elems(1), 8u);
+  EXPECT_EQ(arr.block_elems(2), 1u);
+  EXPECT_EQ(arr.read_block(2, buf.span()).count, 1u);
+  EXPECT_THROW(arr.block_elems(3), std::out_of_range);
+  EXPECT_THROW(arr.read_blocks(2, 2, buf.span()), std::out_of_range);
+
+  // A move carries the bounds along; the source keeps none.
+  ExtArray<int> moved(std::move(arr));
+  EXPECT_EQ(moved.blocks(), 3u);
+  EXPECT_EQ(arr.blocks(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_THROW(moved.block_elems(3), std::out_of_range);
+  ExtArray<int> assigned(mach, 4, "b");
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.blocks(), 3u);
+  EXPECT_EQ(assigned.block_elems(2), 1u);
+  EXPECT_THROW(assigned.read_block(3, buf.span()), std::out_of_range);
+}
+
 TEST(ExtArrayTest, HostFillDoesNotCharge) {
   Machine mach(small_config());
   ExtArray<int> arr(mach, 8, "a");

@@ -11,6 +11,7 @@
 #include <numeric>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -772,6 +773,207 @@ TEST(KvStorePutTest, PutInlineFacadeInvariantOnShardedMachine) {
   EXPECT_EQ(plain.stats().reads, sharded.stats().reads);
   EXPECT_EQ(plain.stats().writes, sharded.stats().writes);
   EXPECT_EQ(sharded.devices_stats().writes, sharded.stats().writes);
+}
+
+// --- Frame and value reuse -------------------------------------------------
+
+/// Host model of a built store's log: every record in key order, duplicates
+/// in input order.  get() serves, and put_inline() rewrites, the LAST entry
+/// with a key.
+struct LogModel {
+  std::vector<std::pair<std::uint64_t, std::vector<std::uint64_t>>> log;
+
+  std::vector<std::uint64_t>* latest(std::uint64_t key) {
+    auto it = std::upper_bound(
+        log.begin(), log.end(), key,
+        [](std::uint64_t k, const auto& e) { return k < e.first; });
+    if (it == log.begin() || (it - 1)->first != key) return nullptr;
+    return &(it - 1)->second;
+  }
+
+  /// A random present key whose served value is inline (`spilled` false,
+  /// one word) or spilled (more than one word); nullopt when there is none.
+  std::optional<std::uint64_t> pick(util::Rng& rng, bool spilled) {
+    std::vector<std::uint64_t> keys;
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      if (i + 1 < log.size() && log[i + 1].first == log[i].first) continue;
+      const std::size_t len = log[i].second.size();
+      if (spilled ? len > 1 : len == 1) keys.push_back(log[i].first);
+    }
+    if (keys.empty()) return std::nullopt;
+    return keys[rng.below(keys.size())];
+  }
+};
+
+/// Ledger peaks of a serving sequence: the most any one call held above
+/// the resident index, per call kind, and the absolute high-water mark.
+struct LedgerPeaks {
+  std::size_t get = 0;
+  std::size_t put = 0;  // put_inline and put_inline_batch
+  std::size_t scan = 0;
+  std::size_t high_water = 0;
+};
+
+/// Drives a seeded random get / put / put-batch / scan sequence through a
+/// store built from a mixed inline / empty / spilled dataset and checks
+/// every answer against a LogModel.  Both get overloads must agree, one
+/// caller vector is reused for the whole run (a stale word left in it, or
+/// in the store's reused frames, fails the comparison), and spilled-hit /
+/// miss / inline-hit triples are forced throughout.  After every call the
+/// ledger must be back to the resident index.
+LedgerPeaks serve_and_check(IndexKind kind, std::size_t cache_blocks,
+                            std::size_t io_batch, std::uint64_t seed) {
+  Config c = cfg(4096, 16, 8);
+  c.cache.capacity_blocks = cache_blocks;
+  Machine mach(c);
+  const Dataset d = make_dataset(700, seed, 40);
+  auto [slots, payload] = stage(mach, d);
+  const std::size_t baseline = mach.ledger().used();
+  StoreConfig sc{kind, 8};
+  sc.io_batch_blocks = io_batch;
+  KvStore kv(mach, sc);
+  kv.build(slots, payload);
+  const std::size_t resting = mach.ledger().used();
+  EXPECT_EQ(resting, baseline + kv.index_resident_words());
+  mach.ledger().reset_high_water();
+  LedgerPeaks peaks;
+  const auto settle = [&](std::size_t& peak) {
+    EXPECT_EQ(mach.ledger().used(), resting);
+    peak = std::max(peak, mach.ledger().high_water() - resting);
+    peaks.high_water = std::max(peaks.high_water, mach.ledger().high_water());
+    mach.ledger().reset_high_water();
+  };
+
+  LogModel model{expected_range(d, 0, ~0ull)};
+  util::Rng rng(seed * 7919 + 1);
+  std::vector<std::uint64_t> out{0xdead, 0xbeef};  // starts dirty on purpose
+  const auto check_get = [&](std::uint64_t key) {
+    const std::vector<std::uint64_t>* want = model.latest(key);
+    const bool hit = kv.get(key, out);
+    EXPECT_EQ(hit, want != nullptr) << "key=" << key;
+    EXPECT_EQ(out, want != nullptr ? *want : std::vector<std::uint64_t>{})
+        << "key=" << key;
+    const auto got = kv.get(key);
+    EXPECT_EQ(got.has_value(), hit) << "key=" << key;
+    if (got) {
+      EXPECT_EQ(*got, out) << "key=" << key;
+    }
+    settle(peaks.get);
+  };
+  const auto random_key = [&]() {
+    return rng.below(4) == 0 ? rng.next() | 1  // odd keys always miss
+                             : model.log[rng.below(model.log.size())].first;
+  };
+
+  for (int t = 0; t < 500; ++t) {
+    const std::uint64_t op = rng.below(100);
+    if (op < 35) {
+      check_get(random_key());
+    } else if (op < 55) {
+      const std::uint64_t key = random_key();
+      const std::uint64_t value = rng.next();
+      std::vector<std::uint64_t>* want = model.latest(key);
+      EXPECT_EQ(kv.put_inline(key, value), want != nullptr) << "key=" << key;
+      if (want != nullptr) *want = {value};
+      settle(peaks.put);
+    } else if (op < 62) {
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
+      std::size_t want_hits = 0;
+      for (std::uint64_t k = 1 + rng.below(6); k > 0; --k) {
+        ops.emplace_back(random_key(), rng.next());
+        if (model.latest(ops.back().first) != nullptr) ++want_hits;
+      }
+      // Apply in submission order (the batch's last-write-wins contract).
+      for (const auto& [key, value] : ops)
+        if (auto* want = model.latest(key)) *want = {value};
+      EXPECT_EQ(kv.put_inline_batch(ops), want_hits);
+      settle(peaks.put);
+    } else if (op < 80) {
+      std::uint64_t lo = random_key();
+      const std::uint64_t width = rng.below(3) == 0 ? ~0ull : rng.next() >> 6;
+      const std::uint64_t hi = lo > ~0ull - width ? ~0ull : lo + width;
+      if (rng.below(8) == 0) lo = 0;
+      std::vector<std::pair<std::uint64_t, std::vector<std::uint64_t>>> seen;
+      const std::size_t visited = kv.scan(
+          lo, hi, [&](std::uint64_t key, std::span<const std::uint64_t> v) {
+            seen.emplace_back(key,
+                              std::vector<std::uint64_t>(v.begin(), v.end()));
+          });
+      std::vector<std::pair<std::uint64_t, std::vector<std::uint64_t>>> want;
+      for (const auto& e : model.log)
+        if (e.first >= lo && e.first <= hi) want.push_back(e);
+      EXPECT_EQ(visited, want.size());
+      EXPECT_EQ(seen, want) << "scan [" << lo << ", " << hi << "]";
+      settle(peaks.scan);
+    } else {
+      // Spilled hit, then a miss, then an inline hit: neither the miss nor
+      // the one-word hit may show words left over from the spilled value.
+      if (const auto key = model.pick(rng, /*spilled=*/true)) check_get(*key);
+      check_get(rng.next() | 1);
+      EXPECT_TRUE(out.empty());
+      if (const auto key = model.pick(rng, /*spilled=*/false)) {
+        check_get(*key);
+        EXPECT_EQ(out.size(), 1u);
+      }
+    }
+  }
+  EXPECT_FALSE(mach.ledger_poisoned());
+  return peaks;
+}
+
+TEST(KvStoreReuseTest, RandomSequenceMatchesModelAndLedgerIsUnchanged) {
+  // Ledger peaks pinned from the per-call Buffer / Scanner implementation
+  // (B = 16): a page plus a payload block for a spilled get or scan (2B),
+  // one page for a put or a put batch (B), chunk*B + B for a batched fence
+  // scan on a plain machine (5B), and the absolute high-water mark over
+  // the sequence.  Reusing host frames must not move any of them.
+  struct Case {
+    IndexKind kind;
+    std::size_t cache_blocks;
+    std::size_t io_batch;
+    LedgerPeaks peaks;
+  };
+  const Case cases[] = {
+      {IndexKind::kFence, 0, 1, {32, 16, 32, 95}},
+      {IndexKind::kFence, 32, 1, {32, 16, 32, 95}},
+      {IndexKind::kFence, 0, 4, {32, 16, 80, 143}},
+      {IndexKind::kCompact, 0, 1, {32, 16, 32, 40}},
+      {IndexKind::kCompact, 32, 1, {32, 16, 32, 40}},
+      {IndexKind::kCompact, 0, 4, {32, 16, 32, 40}},
+  };
+  std::uint64_t seed = 31;
+  for (const Case& k : cases) {
+    SCOPED_TRACE(std::string(to_string(k.kind)) + " cache=" +
+                 std::to_string(k.cache_blocks) +
+                 " batch=" + std::to_string(k.io_batch));
+    const LedgerPeaks got =
+        serve_and_check(k.kind, k.cache_blocks, k.io_batch, seed++);
+    EXPECT_EQ(got.get, k.peaks.get);
+    EXPECT_EQ(got.put, k.peaks.put);
+    EXPECT_EQ(got.scan, k.peaks.scan);
+    EXPECT_EQ(got.high_water, k.peaks.high_water);
+  }
+}
+
+TEST(KvStoreReuseTest, ScanVisitorMustNotReenterTheStore) {
+  // The visitor sees spans into the store's reused frames, so a nested
+  // serving call is refused instead of overwriting them; the store stays
+  // usable once the scan unwinds, including through a visitor's throw.
+  Machine mach(cfg(4096, 16, 8));
+  const Dataset d = make_dataset(300, 41);
+  auto [slots, payload] = stage(mach, d);
+  KvStore kv(mach, StoreConfig{IndexKind::kFence, 8});
+  kv.build(slots, payload);
+  const std::uint64_t key = d.latest.begin()->first;
+  EXPECT_THROW(kv.scan(0, ~0ull, [&](auto, auto) { kv.get(key); }),
+               std::logic_error);
+  EXPECT_THROW(kv.scan(0, ~0ull, [&](auto, auto) { kv.put_inline(key, 1); }),
+               std::logic_error);
+  EXPECT_THROW(
+      kv.scan(0, ~0ull, [&](auto, auto) { kv.scan(0, 1, [](auto, auto) {}); }),
+      std::logic_error);
+  EXPECT_EQ(kv.get(key), d.latest.at(key));
+  EXPECT_EQ(kv.scan(0, ~0ull, [](auto, auto) {}), d.slots.size());
 }
 
 }  // namespace

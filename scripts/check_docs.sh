@@ -17,7 +17,10 @@
 #   7. the low-write suite is documented end to end: EXPERIMENTS.md has a
 #      W1 section, docs/MODEL.md documents the low-write cost model and the
 #      metrics "lowwrite" section, and ARCHITECTURE.md covers the suite's
-#      code paths.
+#      code paths;
+#   8. the ARCHITECTURE.md layer diagram names every bench: the ID of each
+#      bench/bench_<id>_*.cpp (E1, M0, W1, ...) appears as a word inside
+#      the diagram's code block.
 #
 # Scope: the maintained doc set (README, DESIGN, EXPERIMENTS, docs/*).
 # CHANGES.md / ISSUE.md / ROADMAP.md are historical logs and exempt.
@@ -116,10 +119,23 @@ grep -q 'bench_w1_lowwrite' "$REPO/EXPERIMENTS.md" ||
 grep -q 'lowwrite_samplesort' "$REPO/docs/ARCHITECTURE.md" ||
   err "docs/ARCHITECTURE.md does not cover the low-write samplesort path"
 
+# --- 8. every bench in the ARCHITECTURE.md layer diagram ---------------------
+diagram="$(awk '/^## Layer diagram/ {on=1; next} on && /^## / {exit} on' \
+             "$REPO/docs/ARCHITECTURE.md")"
+[[ -n "$diagram" ]] || err "docs/ARCHITECTURE.md has no '## Layer diagram' section"
+n_bench_ids=0
+for src in "$REPO"/bench/bench_*.cpp; do
+  id="$(basename "$src" | sed -E 's/^bench_([a-z][0-9]+)_.*/\1/' | tr '[:lower:]' '[:upper:]')"
+  n_bench_ids=$((n_bench_ids + 1))
+  grep -qw -- "$id" <<< "$diagram" ||
+    err "docs/ARCHITECTURE.md layer diagram does not name bench $id ($(basename "$src"))"
+done
+
 if [[ $fail -ne 0 ]]; then
   echo "check_docs: FAILED" >&2
   exit 1
 fi
 echo "check_docs passed: ${#bench_refs[@]} bench binaries, ${#script_refs[@]} scripts," \
      "${#src_refs[@]} example/tool sources, schema $schema, all src/ subdirs covered," \
-     "traffic layer documented, low-write suite documented"
+     "traffic layer documented, low-write suite documented," \
+     "$n_bench_ids bench IDs in the layer diagram"

@@ -99,20 +99,20 @@ UBSAN_OPTIONS="print_stacktrace=1" \
   "$BUILD_DIR/bench/bench_t1_traffic" --jobs=2 > /dev/null
 echo "traffic tests + bench_t1_traffic clean under ASan+UBSan"
 
-# Batch pass: Machine::submit's bulk_charge, the ExtArray multi-block
-# span plumbing, the cache's grouped flush runs, and the KV store's
-# chunked scan buffers all move whole spans at once — exactly where an
-# off-by-one block count or a stale scratch-vector reuse would corrupt
-# memory without failing a release-build equality check.  Run the batch
-# gtests under ASan+UBSan, then bench_t1_traffic (whose per-request
-# batches now settle through the batched engine path) and bench_m0 with
+# Batch pass: Machine::submit's bulk charge and per-op replay, the
+# sharded per-device staging, and the cache's grouped flush runs all move
+# whole spans at once — exactly where an off-by-one block count or a
+# stale scratch-vector reuse would corrupt memory without failing a
+# release-build equality check.  Run the submit tests (including the
+# randomized batch == per-op property test) and the every-write-index
+# crash sweep under ASan+UBSan, then bench_t1_traffic and bench_m0 with
 # its batch byte-identity guards as asserts (speedup floors zeroed: a
 # sanitized build proves memory safety, not throughput).
-echo "=== batch pass (submit/search tests + bench_t1_traffic + bench_m0 guards under ASan+UBSan) ==="
+echo "=== batch pass (submit/crash-sweep/search tests + bench_t1_traffic + bench_m0 guards under ASan+UBSan) ==="
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="print_stacktrace=1" \
   "$BUILD_DIR/tests/aem_tests" \
-  --gtest_filter='Submit*:Eytzinger*:FastDiv*:ShardRoute*' > /dev/null
+  --gtest_filter='Submit*:DurableBuildTest.CrashAndRecoverAcrossCrashPoints:Eytzinger*:FastDiv*:ShardRoute*' > /dev/null
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="print_stacktrace=1" \
   "$BUILD_DIR/bench/bench_t1_traffic" --jobs=2 > /dev/null
@@ -120,7 +120,7 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="print_stacktrace=1" \
   "$BUILD_DIR/bench/bench_m0_overhead" \
   --min-speedup=0 --min-kernel-speedup=0 --min-batch-speedup=0 > /dev/null
-echo "batch pass clean (submit/search tests, bench_t1_traffic, bench_m0 byte-identity guards)"
+echo "batch pass clean (submit/crash-sweep/search tests, bench_t1_traffic, bench_m0 byte-identity guards)"
 
 # Low-write pass: the read-favoring samplesort's windowed distribution, the
 # buffered PQ's widened merge cascade, and the store's page-grouped batch

@@ -133,7 +133,10 @@ void BlockCache::evict_one() {
           " has no write-back sink (array destroyed or never registered)");
     // May throw (BudgetExceeded, FaultError): nothing has been mutated
     // yet, so the victim simply stays resident and dirty.
-    sinks_[f.array]->cache_write_back(f.block);
+    const std::uint64_t block = f.block;
+    std::size_t done = 0;
+    sinks_[f.array]->write_back(std::span<const std::uint64_t>(&block, 1),
+                                done);
     ++stats_.write_backs;
     ++stats_.evictions_dirty;
     --resident_dirty_;
@@ -192,11 +195,9 @@ std::size_t BlockCache::flush() {
     ++written;
   };
   // Group the sorted dirty list into per-array runs and hand each run to
-  // the sink as one batch (one Machine::submit on a plain device; the
-  // default sink falls back to the per-block loop).  `done` counts the
-  // blocks the sink completed, so an exception mid-run marks exactly the
-  // written-back prefix clean and leaves the failing block (and everything
-  // after it) dirty — identical retry semantics to the per-block flush.
+  // its sink.  `done` counts the blocks the sink completed, so an exception
+  // mid-run marks exactly the written-back prefix clean and leaves the
+  // failing block (and everything after it) dirty.
   std::vector<std::uint64_t> run;
   std::size_t i = 0;
   while (i < dirty_blocks.size()) {
@@ -213,7 +214,7 @@ std::size_t BlockCache::flush() {
       run.push_back(dirty_blocks[j++].second);
     std::size_t done = 0;
     try {
-      sinks_[array]->cache_write_back_batch(run, done);
+      sinks_[array]->write_back(run, done);
     } catch (...) {
       for (std::size_t k = 0; k < done; ++k) mark_clean(array, run[k]);
       throw;

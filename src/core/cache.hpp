@@ -100,26 +100,16 @@ struct CacheStats {
 class BlockCache {
  public:
   /// Write-back target of one array, implemented by ExtArray<T>.  The sink
-  /// must perform a charged device write of the block's current (pool)
-  /// contents; under fault injection that write retries, verifies, and
-  /// remaps like any other.
+  /// must perform a charged device write of each block's current (pool)
+  /// contents, in order; under fault injection each write retries,
+  /// verifies, and remaps like any other.  `done` counts blocks fully
+  /// written back so far — on an exception the caller marks exactly those
+  /// clean and keeps the rest dirty.  Eviction passes one block; flush
+  /// passes each array's ascending dirty run.
   class Sink {
    public:
-    virtual void cache_write_back(std::uint64_t block) = 0;
-
-    /// Writes back a RUN of blocks of one array (ascending order).  `done`
-    /// counts blocks fully written back so far — on an exception the caller
-    /// marks exactly those clean and keeps the rest dirty, preserving the
-    /// per-block flush retry contract.  The default is the per-block loop;
-    /// ExtArray overrides it to charge the run as one batched
-    /// Machine::submit on plain devices (docs/MODEL.md section 17).
-    virtual void cache_write_back_batch(std::span<const std::uint64_t> blocks,
-                                        std::size_t& done) {
-      for (std::uint64_t b : blocks) {
-        cache_write_back(b);
-        ++done;
-      }
-    }
+    virtual void write_back(std::span<const std::uint64_t> blocks,
+                            std::size_t& done) = 0;
 
    protected:
     ~Sink() = default;

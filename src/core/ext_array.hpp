@@ -134,20 +134,38 @@ class ExtArray : private BlockCache::Sink {
 
   /// Reads block `bi` into `dst` (which must hold >= block_elems(bi)
   /// elements).  Charges one read I/O — plus, under fault injection, one
-  /// read per checksum-triggered retry.  A block-cache hit charges nothing.
+  /// read per checksum-triggered retry.  A block-cache hit charges nothing;
+  /// a miss is adopted into the pool after its device read.
   BlockIo read_block(std::uint64_t bi, std::span<T> dst) const {
     const std::size_t count = block_elems(bi);
     if (dst.size() < count)
       throw std::invalid_argument("read_block: destination too small");
-    if (BlockCache* bc = mach_->cache()) return cached_read(*bc, bi, dst, count);
-    FaultPolicy* fp = mach_->faults();
-    if (fp == nullptr || !fp->injects_faults()) {
-      const std::size_t begin = static_cast<std::size_t>(bi) * mach_->B();
-      for (std::size_t i = 0; i < count; ++i) dst[i] = data_[begin + i];
-      IoTicket t = mach_->on_read(id_, bi);
-      return BlockIo{count, t};
+    T* base = native(bi);
+    BlockCache* bc = mach_->cache();
+    if (bc != nullptr && bc->find_read(id_, bi)) {
+      for (std::size_t i = 0; i < count; ++i) dst[i] = base[i];
+      return BlockIo{count, IoTicket{}};  // pool hit: no device I/O
     }
-    return faulty_read(*fp, bi, dst, count);
+    FaultPolicy* fp = mach_->faults();
+    const bool faulty = fp != nullptr && fp->injects_faults();
+    BlockIo io;
+    if (faulty) {
+      io = faulty_read(*fp, bi, dst, count);
+    } else {
+      for (std::size_t i = 0; i < count; ++i) dst[i] = base[i];
+      io = BlockIo{count, mach_->on_read(id_, bi)};
+    }
+    if (bc != nullptr) {
+      // The delivered (checksum-verified) copy becomes the pool frame; for
+      // a remapped block the native region held stale pre-remap bytes.
+      if (faulty)
+        for (std::size_t i = 0; i < count; ++i) base[i] = dst[i];
+      // May evict (and write back) a victim; on a write-back exception the
+      // read stands — delivered and charged — and the block is just not
+      // cached.
+      bc->insert(id_, bi, /*dirty=*/false, const_cast<ExtArray*>(this));
+    }
+    return io;
   }
 
   /// Overwrites block `bi` with `src` (which must hold exactly
@@ -160,95 +178,24 @@ class ExtArray : private BlockCache::Sink {
     const std::size_t count = block_elems(bi);
     if (src.size() != count)
       throw std::invalid_argument("write_block: source size mismatch");
-    if (BlockCache* bc = mach_->cache()) return cached_write(*bc, bi, src, count);
+    if (BlockCache* bc = mach_->cache()) {
+      // A miss write-allocates without fetching: the whole block is
+      // overwritten, so no device read is needed and no device write
+      // happens yet.  Insert first — if the eviction's write-back throws,
+      // the stored data is untouched.
+      if (!bc->find_write(id_, bi)) bc->insert(id_, bi, /*dirty=*/true, this);
+      T* base = native(bi);
+      for (std::size_t i = 0; i < count; ++i) base[i] = src[i];
+      return BlockIo{count, IoTicket{}};
+    }
     FaultPolicy* fp = mach_->faults();
-    if (fp == nullptr || !fp->injects_faults()) {
-      const std::size_t begin = static_cast<std::size_t>(bi) * mach_->B();
-      for (std::size_t i = 0; i < count; ++i) data_[begin + i] = src[i];
-      IoTicket t = mach_->on_write(id_, bi);
-      annotate_atoms(t, src, count);
-      return BlockIo{count, t};
-    }
-    return faulty_write(*fp, bi, src, count);
-  }
-
-  /// Reads blocks [first, first+nblocks) into `dst` (which must hold the
-  /// combined element count; the last block may be partial).  Exactly
-  /// equivalent to nblocks read_block calls in ascending order — same
-  /// counters, wear, phase attribution, and trace op sequence.  On a plain
-  /// uncached device (no pool, no injected-fault path) the charges land as
-  /// ONE batched Machine::submit (docs/MODEL.md section 17), amortizing the
-  /// per-op dispatch; under a cache or fault injection it degrades to the
-  /// per-block loop so hit/retry/remap semantics stay untouched.  Returns
-  /// the element count read.
-  std::size_t read_blocks(std::uint64_t first, std::size_t nblocks,
-                          std::span<T> dst) const {
-    if (nblocks == 0) return 0;
-    check_block(first + nblocks - 1);
-    const std::size_t B = mach_->B();
-    const std::size_t begin = static_cast<std::size_t>(first) * B;
-    const std::size_t total =
-        std::min(data_.size(), begin + nblocks * B) - begin;
-    if (dst.size() < total)
-      throw std::invalid_argument("read_blocks: destination too small");
-    FaultPolicy* fp = mach_->faults();
-    if (mach_->cache() == nullptr && (fp == nullptr || !fp->injects_faults())) {
-      for (std::size_t i = 0; i < total; ++i) dst[i] = data_[begin + i];
-      batch_ops_.clear();
-      for (std::size_t j = 0; j < nblocks; ++j)
-        batch_ops_.push_back(BlockOp{OpKind::kRead, id_, first + j});
-      mach_->submit(batch_ops_);
-      return total;
-    }
-    std::size_t off = 0;
-    for (std::size_t j = 0; j < nblocks; ++j)
-      off += read_block(first + j, dst.subspan(off)).count;
-    return off;
-  }
-
-  /// Writes blocks [first, first+nblocks) from `src` (which must hold
-  /// exactly the combined element count).  Exactly equivalent to nblocks
-  /// write_block calls in ascending order; on a plain uncached device with
-  /// NO fault policy at all (even a crash-only schedule takes the per-block
-  /// loop, so the crash discipline — data persisted before its charge,
-  /// nothing past the cut — is preserved verbatim) the charges land as ONE
-  /// batched Machine::submit.  Returns the element count written.
-  std::size_t write_blocks(std::uint64_t first, std::size_t nblocks,
-                           std::span<const T> src) {
-    if (nblocks == 0) return 0;
-    check_block(first + nblocks - 1);
-    const std::size_t B = mach_->B();
-    const std::size_t begin = static_cast<std::size_t>(first) * B;
-    const std::size_t total =
-        std::min(data_.size(), begin + nblocks * B) - begin;
-    if (src.size() != total)
-      throw std::invalid_argument("write_blocks: source size mismatch");
-    if (mach_->cache() == nullptr && mach_->faults() == nullptr) {
-      for (std::size_t i = 0; i < total; ++i) data_[begin + i] = src[i];
-      batch_ops_.clear();
-      for (std::size_t j = 0; j < nblocks; ++j)
-        batch_ops_.push_back(BlockOp{OpKind::kWrite, id_, first + j});
-      if (mach_->tracing() && atom_of_) {
-        batch_tickets_.assign(nblocks, IoTicket{});
-        mach_->submit(batch_ops_, batch_tickets_);
-        std::size_t off = 0;
-        for (std::size_t j = 0; j < nblocks; ++j) {
-          const std::size_t count = std::min(B, total - off);
-          annotate_atoms(batch_tickets_[j], src.subspan(off, count), count);
-          off += count;
-        }
-      } else {
-        mach_->submit(batch_ops_);
-      }
-      return total;
-    }
-    std::size_t off = 0;
-    for (std::size_t j = 0; j < nblocks; ++j) {
-      const std::size_t count = block_elems(first + j);
-      write_block(first + j, src.subspan(off, count));
-      off += count;
-    }
-    return off;
+    if (fp != nullptr && fp->injects_faults())
+      return faulty_write(*fp, bi, src, count);
+    T* base = native(bi);
+    for (std::size_t i = 0; i < count; ++i) base[i] = src[i];
+    IoTicket t = mach_->on_write(id_, bi);
+    annotate_atoms(t, src, count);
+    return BlockIo{count, t};
   }
 
   /// Grows the array to `elems` elements (new space default-initialized).
@@ -378,97 +325,35 @@ class ExtArray : private BlockCache::Sink {
     if (BlockCache* bc = mach_->cache()) bc->move_sink(id_, this);
   }
 
-  BlockIo cached_read(BlockCache& bc, std::uint64_t bi, std::span<T> dst,
-                      std::size_t count) const {
-    T* base = native(bi);
-    if (bc.find_read(id_, bi)) {
-      for (std::size_t i = 0; i < count; ++i) dst[i] = base[i];
-      return BlockIo{count, IoTicket{}};  // pool hit: no device I/O
-    }
-    // Miss: one charged device read, then adopt the block into the pool.
-    FaultPolicy* fp = mach_->faults();
-    BlockIo io;
-    if (fp == nullptr || !fp->injects_faults()) {
-      for (std::size_t i = 0; i < count; ++i) dst[i] = base[i];
-      io = BlockIo{count, mach_->on_read(id_, bi)};
-    } else {
-      io = faulty_read(*fp, bi, dst, count);
-      // The delivered (checksum-verified) copy becomes the pool frame; for
-      // a remapped block the native region held stale pre-remap bytes.
-      for (std::size_t i = 0; i < count; ++i) base[i] = dst[i];
-    }
-    // May evict (and write back) a victim; on a write-back exception the
-    // read stands — delivered and charged — and the block is just not
-    // cached.
-    bc.insert(id_, bi, /*dirty=*/false,
-              const_cast<ExtArray*>(this));
-    return io;
-  }
-
-  BlockIo cached_write(BlockCache& bc, std::uint64_t bi,
-                       std::span<const T> src, std::size_t count) {
-    T* base = native(bi);
-    if (bc.find_write(id_, bi)) {
-      for (std::size_t i = 0; i < count; ++i) base[i] = src[i];
-      return BlockIo{count, IoTicket{}};  // rewrite of a resident block
-    }
-    // Write-allocate without fetching: the whole block is overwritten, so
-    // no device read is needed and no device write happens yet.  Insert
-    // first — if the eviction's write-back throws, the stored data is
-    // untouched.
-    bc.insert(id_, bi, /*dirty=*/true, this);
-    for (std::size_t i = 0; i < count; ++i) base[i] = src[i];
-    return BlockIo{count, IoTicket{}};
-  }
-
-  /// BlockCache::Sink: push a dirty pool frame back to the device through
+  /// BlockCache::Sink: push dirty pool frames back to the device through
   /// the normal charged write path (including fault injection / recovery /
-  /// remap when a policy is installed).
-  void cache_write_back(std::uint64_t bi) override {
-    const std::size_t count = block_elems(bi);
+  /// remap when a policy is installed).  With no policy at all the payloads
+  /// already sit in the native region and no per-block throw can strand a
+  /// partial run, so the run is charged as ONE Machine::submit — unless a
+  /// traced write needs its ticket for atom annotation.
+  void write_back(std::span<const std::uint64_t> blocks,
+                  std::size_t& done) override {
     FaultPolicy* fp = mach_->faults();
-    if (fp == nullptr || !fp->injects_faults()) {
-      // Payload already sits in the native region; just charge the write.
-      IoTicket t = mach_->on_write(id_, bi);
-      annotate_atoms(t, std::span<const T>(native(bi), count), count);
-      return;
-    }
-    // The faulty write path mutates the located device region in place, so
-    // stage the intended payload out of the (aliasing) native region.
-    const std::vector<T> tmp(native(bi), native(bi) + count);
-    faulty_write(*fp, bi, std::span<const T>(tmp), count);
-  }
-
-  /// BlockCache::Sink batch write-back: on a plain device the whole run is
-  /// charged as ONE Machine::submit (payloads already sit in the native
-  /// region, and with no policy installed no per-block throw can strand a
-  /// partially-flushed run).  Any installed fault policy — including a
-  /// crash-only or ceiling-only one, whose throws must land between the
-  /// exact per-block charges — takes the per-block recovery loop.
-  void cache_write_back_batch(std::span<const std::uint64_t> blocks,
-                              std::size_t& done) override {
-    if (mach_->faults() != nullptr || blocks.size() < 2) {
-      for (std::uint64_t bi : blocks) {
-        cache_write_back(bi);
-        ++done;
-      }
-      return;
-    }
-    batch_ops_.clear();
-    for (std::uint64_t bi : blocks)
-      batch_ops_.push_back(BlockOp{OpKind::kWrite, id_, bi});
-    if (mach_->tracing() && atom_of_) {
-      batch_tickets_.assign(blocks.size(), IoTicket{});
-      mach_->submit(batch_ops_, batch_tickets_);
-      for (std::size_t j = 0; j < blocks.size(); ++j) {
-        const std::size_t count = block_elems(blocks[j]);
-        annotate_atoms(batch_tickets_[j],
-                       std::span<const T>(native(blocks[j]), count), count);
-      }
-    } else {
+    if (fp == nullptr && !(atom_of_ && mach_->tracing())) {
+      batch_ops_.clear();
+      for (const std::uint64_t bi : blocks)
+        batch_ops_.push_back(BlockOp{OpKind::kWrite, id_, bi});
       mach_->submit(batch_ops_);
+      done = blocks.size();
+      return;
     }
-    done = blocks.size();
+    for (const std::uint64_t bi : blocks) {
+      const std::span<const T> frame(native(bi), block_elems(bi));
+      if (fp != nullptr && fp->injects_faults()) {
+        // The faulty write path mutates the located device region in
+        // place, so stage the payload out of the (aliasing) native region.
+        const std::vector<T> tmp(frame.begin(), frame.end());
+        faulty_write(*fp, bi, std::span<const T>(tmp), tmp.size());
+      } else {
+        annotate_atoms(mach_->on_write(id_, bi), frame, frame.size());
+      }
+      ++done;
+    }
   }
 
   Recovery& recovery(const FaultPolicy& fp) const {
@@ -653,10 +538,8 @@ class ExtArray : private BlockCache::Sink {
   std::function<std::uint64_t(const T&)> atom_of_;
   // Mutable: reads must be able to lazily create recovery state and retry.
   mutable std::unique_ptr<Recovery> rec_;
-  // Scratch for the batched submit paths (reused across calls; mutable so
-  // read_blocks stays const like read_block).
-  mutable std::vector<BlockOp> batch_ops_;
-  mutable std::vector<IoTicket> batch_tickets_;
+  // Scratch for write_back's one-submit run (reused across flushes).
+  std::vector<BlockOp> batch_ops_;
 };
 
 /// An internal-memory allocation of `elems` elements, registered with the

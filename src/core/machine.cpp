@@ -111,23 +111,6 @@ const std::string& Machine::array_name(std::uint32_t id) const {
   return arrays_[id];
 }
 
-IoTicket Machine::on_read(std::uint32_t array, std::uint64_t block) {
-  ++stats_.reads;
-  attribute(/*is_write=*/false);
-  if (faults_) faults_->check_budget(stats_, cfg_.write_cost);
-  if (trace_) return trace_->add(OpKind::kRead, array, block);
-  return IoTicket{};
-}
-
-IoTicket Machine::on_write(std::uint32_t array, std::uint64_t block) {
-  ++stats_.writes;
-  attribute(/*is_write=*/true);
-  if (faults_) faults_->check_budget(stats_, cfg_.write_cost);
-  if (wear_) record_wear(array, block);
-  if (trace_) return trace_->add(OpKind::kWrite, array, block);
-  return IoTicket{};
-}
-
 void Machine::validate_tickets(std::span<const BlockOp> ops,
                                std::span<IoTicket> tickets) {
   if (!tickets.empty() && tickets.size() != ops.size())
@@ -135,31 +118,18 @@ void Machine::validate_tickets(std::span<const BlockOp> ops,
         "Machine::submit: tickets span must be empty or match ops");
 }
 
-Machine::BatchPlan Machine::plan_batch(std::uint64_t reads,
-                                       std::uint64_t writes) const {
-  if (!faults_) return BatchPlan::kBulk;
+bool Machine::batch_fires(std::uint64_t reads, std::uint64_t writes) const {
+  if (!faults_) return false;
   const FaultConfig& fc = faults_->config();
-  // The armed power cut falls inside this batch: replay per op, so the
-  // CrashError fires on exactly the same Nth charged write (and any ceiling
-  // it races is resolved in per-op order too).
-  if (faults_->crash_armed() && writes != 0 &&
+  // Any op fires an armed cut once the write clock has reached it.
+  if (faults_->crash_armed() &&
       stats_.writes + writes >= fc.crash_after_writes)
-    return BatchPlan::kPerOp;
-  // All-or-nothing admission against the ceilings: project the post-batch
-  // totals; if they land past a ceiling, reject before charging anything.
-  // Both ceilings are monotone in (reads, writes), so a batch whose TOTAL
-  // stays inside also stays inside at every intermediate op — bulk charging
-  // cannot skip a would-have-fired check.
+    return true;
   IoStats projected = stats_;
   projected.reads += reads;
   projected.writes += writes;
-  if (fc.max_cost != 0 && projected.cost(cfg_.write_cost) > fc.max_cost)
-    throw BudgetExceeded(BudgetExceeded::Kind::kCost, fc.max_cost,
-                         projected.cost(cfg_.write_cost), stats_);
-  if (fc.max_ios != 0 && projected.total_ios() > fc.max_ios)
-    throw BudgetExceeded(BudgetExceeded::Kind::kIos, fc.max_ios,
-                         projected.total_ios(), stats_);
-  return BatchPlan::kBulk;
+  return (fc.max_cost != 0 && projected.cost(cfg_.write_cost) > fc.max_cost) ||
+         (fc.max_ios != 0 && projected.total_ios() > fc.max_ios);
 }
 
 void Machine::bulk_charge(std::span<const BlockOp> ops, std::uint64_t reads,
@@ -184,34 +154,25 @@ void Machine::bulk_charge(std::span<const BlockOp> ops, std::uint64_t reads,
   } else {
     for (IoTicket& t : tickets) t = IoTicket{};
   }
-  // plan_batch() proved the batch lands inside every ceiling, so this is a
-  // no-throw re-validation keeping the watchdog's view of the counters
-  // current.
-  if (faults_) faults_->check_budget(stats_, cfg_.write_cost);
-}
-
-void Machine::per_op_submit(std::span<const BlockOp> ops,
-                            std::span<IoTicket> tickets) {
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const IoTicket t = ops[i].kind == OpKind::kWrite
-                           ? on_write(ops[i].array, ops[i].block)
-                           : on_read(ops[i].array, ops[i].block);
-    if (!tickets.empty()) tickets[i] = t;
-  }
 }
 
 void Machine::submit(std::span<const BlockOp> ops, std::span<IoTicket> tickets) {
-  validate_tickets(ops, tickets);
-  if (ops.empty()) return;
-  std::uint64_t writes = 0;
-  for (const BlockOp& op : ops)
-    writes += static_cast<std::uint64_t>(op.kind == OpKind::kWrite);
-  const std::uint64_t reads = ops.size() - writes;
-  if (faults_ && plan_batch(reads, writes) == BatchPlan::kPerOp) {
-    per_op_submit(ops, tickets);
+  if (ops.size() == 1 && tickets.size() <= 1) {  // on_read / on_write
+    const IoTicket t = charge(ops[0]);
+    if (!tickets.empty()) tickets[0] = t;
     return;
   }
-  bulk_charge(ops, reads, writes, tickets);
+  validate_tickets(ops, tickets);
+  const std::uint64_t writes = count_writes(ops);
+  const std::uint64_t reads = ops.size() - writes;
+  if (!batch_fires(reads, writes)) {
+    bulk_charge(ops, reads, writes, tickets);
+    return;
+  }
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const IoTicket t = charge(ops[i]);
+    if (!tickets.empty()) tickets[i] = t;
+  }
 }
 
 Machine::WearStats Machine::wear_stats() const {

@@ -5,9 +5,9 @@
 // own their storage and report every block transfer here.  This keeps the
 // machine non-templated while arrays are typed.
 //
-// Hot-path design: on_read/on_write run once per simulated block transfer,
-// so every experiment's wall clock is bounded by their cost.  All per-I/O
-// work is therefore flat-array arithmetic:
+// Hot-path design: submit() runs once per simulated block transfer (or
+// batch), so every experiment's wall clock is bounded by its cost.  All
+// per-I/O work is therefore flat-array arithmetic:
 //
 //  * phase names are interned to dense ids at PhaseScope construction, and
 //    the duplicate-name check runs once per scope push — attribute() is a
@@ -38,9 +38,7 @@
 
 namespace aem {
 
-/// One operation of a batched submission (Machine::submit): the same
-/// (kind, array, block) triple on_read/on_write take, queued instead of
-/// dispatched.
+/// One block transfer of a Machine::submit batch.
 struct BlockOp {
   OpKind kind = OpKind::kRead;
   std::uint32_t array = 0;
@@ -188,61 +186,86 @@ class Machine {
 
   // --- hooks used by ExtArray ----------------------------------------------
   /// Registers an array; the returned id appears in traces and diagnostics.
-  /// Virtual (with on_read/on_write/reset_stats) so core/sharding's
-  /// ShardedMachine can mirror the call onto its member devices; the
-  /// overhead on the plain machine is one indirect call per simulated I/O,
-  /// re-measured by bench_m0_overhead's speedup floor.
+  /// Virtual (with submit/reset_stats) so core/sharding's ShardedMachine can
+  /// mirror the call onto its member devices; the overhead on the plain
+  /// machine is one indirect call per simulated I/O, re-measured by
+  /// bench_m0_overhead's speedup floor.
   virtual std::uint32_t register_array(std::string name);
   const std::string& array_name(std::uint32_t id) const;
   std::size_t array_count() const { return arrays_.size(); }
 
-  /// Charges one block read / write and records it if tracing.
-  virtual IoTicket on_read(std::uint32_t array, std::uint64_t block);
-  virtual IoTicket on_write(std::uint32_t array, std::uint64_t block);
+  /// Charges one block read / write and records it if tracing: a batch of
+  /// one through submit().
+  IoTicket on_read(std::uint32_t array, std::uint64_t block) {
+    return submit_one(BlockOp{OpKind::kRead, array, block});
+  }
+  IoTicket on_write(std::uint32_t array, std::uint64_t block) {
+    return submit_one(BlockOp{OpKind::kWrite, array, block});
+  }
 
-  /// Batched submission (docs/MODEL.md section 17): charges every op in
-  /// `ops` with ONE virtual dispatch, amortizing the per-op counter /
-  /// phase / budget bookkeeping across the batch.  Counters, wear, phase
-  /// attribution, and the trace op sequence are byte-identical to issuing
-  /// the same ops through on_read/on_write in order; `tickets` (empty, or
-  /// exactly ops.size()) receives the per-op completion tickets in
-  /// submission order.
+  /// The one charge entry (docs/MODEL.md section 17): charges every op in
+  /// `ops` exactly as if each were charged alone, in submission order —
+  /// counters, phase attribution, wear, and the trace op sequence.
+  /// `tickets` (empty, or exactly ops.size()) receives the per-op
+  /// completion tickets in submission order.
   ///
-  /// Fault/crash schedules keep their per-op firing points: a batch that
-  /// contains the armed crash write degrades to the per-op loop so
-  /// CrashError fires on exactly the same Nth charged write; a batch whose
-  /// total would land past a configured cost/I/O ceiling is rejected with
-  /// BudgetExceeded UP FRONT, charging nothing (all-or-nothing admission —
-  /// the one documented divergence from the per-op path, which charges up
-  /// to and including the crossing op).
+  /// A batch that cannot trip anything is charged in bulk: counters and
+  /// phases once, wear and trace per op.  A batch inside which the armed
+  /// crash write falls, or whose projected totals cross max_cost or
+  /// max_ios, is replayed one op at a time, so the crossing op is charged
+  /// and then CrashError / BudgetExceeded is thrown, as for a lone op.
   virtual void submit(std::span<const BlockOp> ops,
                       std::span<IoTicket> tickets);
   /// Convenience drain when no caller wants the tickets.
   void submit(std::span<const BlockOp> ops) { submit(ops, {}); }
 
  protected:
-  /// How submit() must charge a batch of `reads` + `writes` ops given the
-  /// installed fault policy.  Throws BudgetExceeded (charging nothing) when
-  /// the batch total would cross a ceiling; returns kPerOp when the armed
-  /// crash point falls inside the batch.
-  enum class BatchPlan { kBulk, kPerOp };
-  BatchPlan plan_batch(std::uint64_t reads, std::uint64_t writes) const;
+  /// Charges one op on this machine's own counters (non-virtual: the
+  /// frontend half of a routed op, and the per-op replay of submit()).
+  IoTicket charge(const BlockOp& op) {
+    const bool is_write = op.kind == OpKind::kWrite;
+    if (is_write) {
+      ++stats_.writes;
+    } else {
+      ++stats_.reads;
+    }
+    attribute(is_write);
+    if (faults_) faults_->check_budget(stats_, cfg_.write_cost);
+    if (is_write && wear_) record_wear(op.array, op.block);
+    if (trace_) return trace_->add(op.kind, op.array, op.block);
+    return IoTicket{};
+  }
 
-  /// The bulk half of submit(): counters/phases charged once for the whole
-  /// batch, wear and trace recorded per op in submission order.  Callers
-  /// must have cleared the plan (plan_batch == kBulk) first.
+  /// True when charging `reads` + `writes` more ops could fire the armed
+  /// crash point or cross a cost / I/O ceiling.  Both ceilings are
+  /// monotone in (reads, writes), so a batch whose totals stay inside also
+  /// stays inside at every prefix and may be charged in bulk.
+  bool batch_fires(std::uint64_t reads, std::uint64_t writes) const;
+
+  /// Charges a batch that batch_fires() cleared: counters and phases once,
+  /// wear and trace per op in submission order.
   void bulk_charge(std::span<const BlockOp> ops, std::uint64_t reads,
                    std::uint64_t writes, std::span<IoTicket> tickets);
 
-  /// The degraded half: replays the batch through the virtual per-op hooks
-  /// (exact per-op semantics, including mid-batch throws).
-  void per_op_submit(std::span<const BlockOp> ops, std::span<IoTicket> tickets);
-
   static void validate_tickets(std::span<const BlockOp> ops,
                                std::span<IoTicket> tickets);
+  static std::uint64_t count_writes(std::span<const BlockOp> ops) {
+    std::uint64_t writes = 0;
+    for (const BlockOp& op : ops)
+      writes += static_cast<std::uint64_t>(op.kind == OpKind::kWrite);
+    return writes;
+  }
 
  private:
   friend class PhaseScope;
+  // Asks each member device whether its share of a batch would fire.
+  friend class ShardedMachine;
+
+  IoTicket submit_one(const BlockOp& op) {
+    IoTicket t;
+    submit(std::span<const BlockOp>(&op, 1), std::span<IoTicket>(&t, 1));
+    return t;
+  }
 
   /// Heterogeneous string hashing so phase interning can look up a
   /// string_view without materializing a std::string.

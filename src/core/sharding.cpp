@@ -134,15 +134,17 @@ void ShardedMachine::wait_for_device(std::size_t d, std::uint32_t array,
     }
     ++attempt;
     // Each wait round charges frontend poll reads (at least one, so the
-    // clock always advances toward up_at).  The polls go through the plain
-    // Machine path: phase-attributed, traced, and — with a cost or I/O
-    // ceiling configured — subject to BudgetExceeded, which turns an
-    // over-long degraded interval into admission control, not a crash.
+    // clock always advances toward up_at).  The polls charge the facade
+    // alone, never re-entering routing: phase-attributed, traced, and —
+    // with a cost or I/O ceiling configured — subject to BudgetExceeded,
+    // which turns an over-long degraded interval into admission control,
+    // not a crash.
     std::uint64_t polls = retry.backoff(attempt);
     if (polls == 0) polls = 1;
     ++os.wait_rounds;
     os.backoff_ios += polls;
-    for (std::uint64_t i = 0; i < polls; ++i) Machine::on_read(array, block);
+    for (std::uint64_t i = 0; i < polls; ++i)
+      charge(BlockOp{OpKind::kRead, array, block});
   }
   // The device is back; settle its deferred writes before serving reads
   // that may depend on them.
@@ -217,48 +219,49 @@ void ShardedMachine::reset_stats() {
   ostats_.assign(devices_.size(), OutageStats{});
 }
 
-IoTicket ShardedMachine::on_read(std::uint32_t array, std::uint64_t block) {
+IoTicket ShardedMachine::route_one(const BlockOp& op) {
   // Facade first: frontend accounting must be byte-identical to a plain
   // Machine, including the relative order of a budget-ceiling throw and the
   // device-side charges (a frontend ceiling fires before any device sees
   // the transfer, exactly as a plain machine would fire before the device
   // bus existed).
-  const IoTicket ticket = Machine::on_read(array, block);
-  const Route r = route(block);
+  const IoTicket ticket = charge(op);
+  const Route r = route(op.block);
+  const std::uint64_t base = r.local * amp_[r.device];
+  const bool is_write = op.kind == OpKind::kWrite;
   if (outages_armed_) {
     drain_recovered();
-    if (device_down(r.device)) wait_for_device(r.device, array, block);
+    if (device_down(r.device)) {
+      if (is_write) {
+        // The logical write is accepted (the frontend charged it — the
+        // algorithm's Q is outage-independent); its native device
+        // transfers are deferred until the device recovers.
+        auto& q = queued_[r.device];
+        for (std::size_t j = 0; j < amp_[r.device]; ++j)
+          q.push_back(QueuedWrite{op.array, base + j});
+        ostats_[r.device].queued_writes += amp_[r.device];
+        return ticket;
+      }
+      wait_for_device(r.device, op.array, op.block);
+    }
   }
   Machine& dev = *devices_[r.device];
-  const std::uint64_t base = r.local * amp_[r.device];
-  for (std::size_t j = 0; j < amp_[r.device]; ++j)
-    dev.on_read(array, base + j);
+  for (std::size_t j = 0; j < amp_[r.device]; ++j) {
+    if (is_write) {
+      dev.on_write(op.array, base + j);
+    } else {
+      dev.on_read(op.array, base + j);
+    }
+  }
   return ticket;
 }
 
-void ShardedMachine::submit(std::span<const BlockOp> ops,
-                            std::span<IoTicket> tickets) {
-  validate_tickets(ops, tickets);
-  if (ops.empty()) return;
-  std::uint64_t writes = 0;
-  for (const BlockOp& op : ops)
-    writes += static_cast<std::uint64_t>(op.kind == OpKind::kWrite);
-  const std::uint64_t reads = ops.size() - writes;
+bool ShardedMachine::stage_batch(std::span<const BlockOp> ops,
+                                 std::uint64_t reads, std::uint64_t writes) {
   // Outage windows are evaluated against the frontend op clock between
-  // transfers, and an in-batch crash point must cut on its exact write:
-  // both degrade to the per-op loop (the full sharded on_read/on_write
-  // path, so waits, deferred writes, and drains behave identically).
-  // plan_batch() itself rejects a ceiling-crossing batch up front, before
-  // the frontend or any device has charged an op.
-  if (outages_armed_ ||
-      (faults() && plan_batch(reads, writes) == BatchPlan::kPerOp)) {
-    per_op_submit(ops, tickets);
-    return;
-  }
-  // Facade first (one bulk charge — byte-identical counters/trace to the
-  // per-op path), then the whole batch grouped by route(): one member
-  // submit per touched device instead of one virtual call per native op.
-  bulk_charge(ops, reads, writes, tickets);
+  // transfers, so an armed schedule always routes op by op.
+  if (outages_armed_ || batch_fires(reads, writes)) return false;
+  for (auto& q : batch_by_device_) q.clear();
   for (const BlockOp& op : ops) {
     const Route r = route(op.block);
     const std::uint64_t base = r.local * amp_[r.device];
@@ -266,42 +269,38 @@ void ShardedMachine::submit(std::span<const BlockOp> ops,
     for (std::size_t j = 0; j < amp_[r.device]; ++j)
       dev_ops.push_back(BlockOp{op.kind, op.array, base + j});
   }
+  // A device ceiling or crash point inside its share must fire at the
+  // same global op as op-at-a-time routing would.
   for (std::size_t d = 0; d < devices_.size(); ++d) {
-    if (batch_by_device_[d].empty()) continue;
-    try {
-      devices_[d]->submit(batch_by_device_[d]);
-    } catch (...) {
-      // A device-side throw (its own ceiling/crash schedule) must not leave
-      // stale native ops behind for the next batch.
-      for (auto& q : batch_by_device_) q.clear();
-      throw;
-    }
-    batch_by_device_[d].clear();
+    const Machine& dev = *devices_[d];
+    if (dev.faults() == nullptr) continue;
+    const std::uint64_t dev_writes = count_writes(batch_by_device_[d]);
+    if (dev.batch_fires(batch_by_device_[d].size() - dev_writes, dev_writes))
+      return false;
   }
+  return true;
 }
 
-IoTicket ShardedMachine::on_write(std::uint32_t array, std::uint64_t block) {
-  const IoTicket ticket = Machine::on_write(array, block);
-  const Route r = route(block);
-  if (outages_armed_) {
-    drain_recovered();
-    if (device_down(r.device)) {
-      // The logical write is accepted (the frontend charged it — the
-      // algorithm's Q is outage-independent); its native device transfers
-      // are deferred until the device recovers.
-      const std::uint64_t base = r.local * amp_[r.device];
-      auto& q = queued_[r.device];
-      for (std::size_t j = 0; j < amp_[r.device]; ++j)
-        q.push_back(QueuedWrite{array, base + j});
-      ostats_[r.device].queued_writes += amp_[r.device];
-      return ticket;
+void ShardedMachine::submit(std::span<const BlockOp> ops,
+                            std::span<IoTicket> tickets) {
+  validate_tickets(ops, tickets);
+  if (ops.size() > 1) {
+    const std::uint64_t writes = count_writes(ops);
+    const std::uint64_t reads = ops.size() - writes;
+    if (stage_batch(ops, reads, writes)) {
+      // Facade first (one bulk charge), then one member submit per touched
+      // device instead of one virtual call per native op.
+      bulk_charge(ops, reads, writes, tickets);
+      for (std::size_t d = 0; d < devices_.size(); ++d)
+        if (!batch_by_device_[d].empty())
+          devices_[d]->submit(batch_by_device_[d]);
+      return;
     }
   }
-  Machine& dev = *devices_[r.device];
-  const std::uint64_t base = r.local * amp_[r.device];
-  for (std::size_t j = 0; j < amp_[r.device]; ++j)
-    dev.on_write(array, base + j);
-  return ticket;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const IoTicket t = route_one(ops[i]);
+    if (!tickets.empty()) tickets[i] = t;
+  }
 }
 
 }  // namespace aem

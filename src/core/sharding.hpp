@@ -176,16 +176,13 @@ class ShardedMachine : public Machine {
   // --- Machine overrides --------------------------------------------------
   std::uint32_t register_array(std::string name) override;
   void reset_stats() override;
-  IoTicket on_read(std::uint32_t array, std::uint64_t block) override;
-  IoTicket on_write(std::uint32_t array, std::uint64_t block) override;
-  /// Batched submission across the array: the frontend facade is charged as
-  /// one bulk batch (identical counters/trace to the per-op path), then the
-  /// ops are grouped by route() and each device receives its whole native
-  /// batch in ONE member-machine submit — D calls instead of one per block.
-  /// Per-device native order is preserved; only the interleaving BETWEEN
-  /// devices differs from the per-op path (each device's counters are
-  /// order-insensitive, so every aggregate stays byte-identical).  Armed
-  /// outage windows and in-batch crash points degrade to the per-op loop.
+  /// Routes every op to its device after charging the facade.  A batch
+  /// that fires nothing on the facade or on any device, with no outage
+  /// window armed, is charged in bulk: the facade once, then the ops grouped
+  /// by route() and each device handed its whole native batch in ONE member
+  /// submit.  Per-device native order is preserved; only the interleaving
+  /// BETWEEN devices differs from op-at-a-time routing, and device counters
+  /// are order-insensitive.  Every other batch is routed one op at a time.
   void submit(std::span<const BlockOp> ops,
               std::span<IoTicket> tickets) override;
   using Machine::submit;
@@ -195,6 +192,15 @@ class ShardedMachine : public Machine {
     std::uint32_t array = 0;
     std::uint64_t native = 0;  // device-native block index
   };
+
+  /// Charges one op on the facade and routes it: outage waits, deferred
+  /// writes and drains included.
+  IoTicket route_one(const BlockOp& op);
+
+  /// Routes a batch into batch_by_device_ and returns true when neither the
+  /// facade nor any device would fire on it (the bulk precondition).
+  bool stage_batch(std::span<const BlockOp> ops, std::uint64_t reads,
+                   std::uint64_t writes);
 
   /// Bounded-retry wait for a down device (reads).  Each retry charges
   /// frontend poll reads; throws FaultError on exhaustion.

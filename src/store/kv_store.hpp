@@ -120,17 +120,6 @@ struct StoreConfig {
   /// exactly as before: no manifest array, no checkpoint writes, charges
   /// byte-identical to the pre-reliability-layer store.
   std::size_t manifest_interval = 0;
-
-  /// Blocks per batched Machine::submit on the store's bulk paths (layout
-  /// writes during build, sequential log reads during scan).  1 (the
-  /// default) keeps every transfer on the historical per-op path —
-  /// byte-identical charges.  Values >= 2 batch only where the deferral
-  /// cannot be observed: a plain machine (no cache, no fault policy) and,
-  /// for writes, a non-durable build (manifest checkpoints need the
-  /// frontier flushed); elsewhere the store silently falls back to 1.  The
-  /// same blocks are charged exactly once each in the same order either
-  /// way (docs/MODEL.md section 17).
-  std::size_t io_batch_blocks = 1;
 };
 
 /// What KvStore::recover() found and did.  The charged I/O of the whole
@@ -405,7 +394,7 @@ class KvStore {
 
     const std::size_t B = mach_->B();
     MemoryReservation page_res(mach_->ledger(), B);
-    const std::span<Slot> page = page_frame(B);
+    const std::span<Slot> page = page_frame();
     std::size_t count = 0;
     // A key preceding every stored key, or absent from its page, misses.
     if (!locate_page(key, page, count, log_reads)) return miss();
@@ -446,77 +435,51 @@ class KvStore {
   /// a fresh store from a full scan once the orphan share justifies the
   /// write bill; docs/MODEL.md section 16).  Returns false — charging only
   /// the locate reads — when the key is absent: the sorted log cannot admit
-  /// new keys in place, so inserts go through a re-build by design.
+  /// new keys in place, so inserts go through a re-build by design.  A
+  /// batch of one through put_inline_batch().
   bool put_inline(std::uint64_t key, std::uint64_t value) {
-    check_built();
-    ++stats_.puts;
-    std::uint64_t log_reads = 0;
-    const auto miss = [&]() {
-      note_put(log_reads);
-      return false;
-    };
-    if (records_ == 0) return miss();
-
-    MemoryReservation page_res(mach_->ledger(), mach_->B());
-    const std::span<Slot> page = page_frame(mach_->B());
-    std::size_t count = 0;
-    const std::optional<std::size_t> located =
-        locate_page(key, page, count, log_reads);
-    if (!located) return miss();
-    Slot* hit = find_last(page.first(count), key);
-    if (hit == nullptr) return miss();
-    ++stats_.put_hits;
-    if (hit->len >= 2) stats_.orphaned_words += hit->len;
-    hit->len = 1;
-    hit->pos = value;
-    log_.write_block(*located, page.first(count));
-    ++stats_.put_writes;
-    note_put(log_reads);
-    return true;
+    const std::pair<std::uint64_t, std::uint64_t> op{key, value};
+    return put_inline_batch(std::span(&op, 1)) != 0;
   }
 
   /// Write-efficient batched puts (docs/MODEL.md section 18): equivalent to
   /// calling put_inline(key, value) for every op in order — same hits and
-  /// misses, same orphaned_words growth, same final store bytes — but K ops
-  /// landing on one log page are ABSORBED into at most one charged log read
-  /// plus one charged omega-write for the whole page group, instead of K of
-  /// each.  The ops are ordered host-side by key (stable, so equal keys
-  /// keep submission order and last-write-wins is preserved); the fence
-  /// index then decides each key's page without I/O, and the loaded page is
-  /// written back once when the group ends.  Keys preceding every stored
-  /// key miss for free, exactly like put_inline; keys missing within a read
-  /// page share that page's single read.  A batch of size 1 charges
-  /// byte-identically to put_inline.
+  /// misses, same orphaned_words growth, same final store bytes — but under
+  /// the fence index K ops landing on one log page are ABSORBED into at
+  /// most one charged log read plus one charged omega-write for the whole
+  /// page group, instead of K of each.  The ops are ordered host-side by
+  /// key (ties by submission order, so last-write-wins is preserved); the
+  /// fence index then decides each key's page without I/O, and the loaded
+  /// page is written back once when the group ends.  Keys preceding every
+  /// stored key miss for free; keys missing within a read page share that
+  /// page's single read.
   ///
   /// Page membership is only decidable host-side under the fence index;
-  /// kCompact (whose locate probes and walks) falls back to sequential
-  /// put_inline calls — the same fallback rule as the batched scan path.
-  /// Returns the number of ops that hit.
+  /// kCompact (whose locate probes and walks) applies the ops in
+  /// submission order, each located, and written back, on its own — with
+  /// a cache, reordering would change hits.  Returns the number of ops
+  /// that hit.
   std::size_t put_inline_batch(
       std::span<const std::pair<std::uint64_t, std::uint64_t>> ops) {
     check_built();
-    std::size_t hits = 0;
-    if (cfg_.index != IndexKind::kFence) {
-      for (const auto& [key, value] : ops)
-        if (put_inline(key, value)) ++hits;
-      return hits;
-    }
     stats_.puts += ops.size();
     if (records_ == 0 || ops.empty()) return 0;
 
-    // Host-side op order: stable by key, so one page's group applies in
-    // submission order (first hit on a spilled slot orphans it, later hits
-    // see the inline slot; the last value wins).
-    std::vector<std::size_t> order(ops.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return ops[a].first < ops[b].first;
-                     });
+    const bool fence = cfg_.index == IndexKind::kFence;
+    put_order_.resize(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) put_order_[i] = i;
+    if (fence && ops.size() > 1)
+      std::sort(put_order_.begin(), put_order_.end(),
+                [&](std::size_t a, std::size_t b) {
+                  return ops[a].first != ops[b].first
+                             ? ops[a].first < ops[b].first
+                             : a < b;
+                });
 
+    std::size_t hits = 0;
     std::uint64_t log_reads = 0;
     MemoryReservation page_res(mach_->ledger(), mach_->B());
-    const std::span<Slot> page = page_frame(mach_->B());
+    const std::span<Slot> page = page_frame();
     std::size_t cur = kNoBlock;  // loaded page, or kNoBlock
     std::size_t count = 0;
     bool dirty = false;
@@ -526,16 +489,21 @@ class KvStore {
       ++stats_.put_writes;
       dirty = false;
     };
-    for (const std::size_t idx : order) {
+    for (const std::size_t idx : put_order_) {
       const auto [key, value] = ops[idx];
-      const std::size_t r = fence_idx_.rank_upper(key);
-      if (r == 0) continue;  // precedes every stored key: uncharged miss
-      const std::size_t bi = r - 1;
-      if (bi != cur) {
+      if (fence) {
+        const std::size_t r = fence_idx_.rank_upper(key);
+        if (r == 0) continue;  // precedes every stored key: uncharged miss
+        if (r - 1 != cur) {
+          flush();
+          cur = r - 1;
+          count = log_.read_block(cur, page).count;
+          ++log_reads;  // the group's one absorbed read
+        }
+      } else {
         flush();
-        count = log_.read_block(bi, page).count;
-        ++log_reads;  // the group's one absorbed read
-        cur = bi;
+        cur = locate_page(key, page, count, log_reads).value_or(kNoBlock);
+        if (cur == kNoBlock) continue;
       }
       Slot* hit = find_last(page.first(count), key);
       if (hit == nullptr) continue;  // in-page miss
@@ -577,21 +545,13 @@ class KvStore {
       std::size_t count = 0;
       std::uint64_t probe_reads = 0;
       start_page =
-          locate_page(lo - 1, page_frame(B), count, probe_reads).value_or(0);
+          locate_page(lo - 1, page_frame(), count, probe_reads).value_or(0);
     }
 
     // The page loop reads from start_page until it meets a key past hi or
-    // the end of the log.  The pages [start_page, q) have fences <= hi and
-    // the log is globally sorted, so each of them is read in full before a
-    // key past hi can show up (on page q - 1 at the earliest).  Under the
-    // fence index q is known host-side, and with a chunk >= 2 those reads go
-    // out as chunk-sized Machine::submit batches; every other page is one
-    // plain read_block.  Same blocks, same order, same charges at any chunk.
-    const std::size_t chunk =
-        cfg_.index == IndexKind::kFence ? read_batch_blocks() : 1;
-    const std::size_t q = chunk >= 2 ? fence_idx_.rank_upper(hi) : 0;
-    MemoryReservation frame_res(mach_->ledger(), chunk * B);
-    const std::span<Slot> frame = page_frame(chunk * B);
+    // the end of the log, one page per iteration.
+    MemoryReservation frame_res(mach_->ledger(), B);
+    const std::span<Slot> frame = page_frame();
     // Taken at the first spilled value: an all-inline scan holds no
     // payload block.
     MemoryReservation pay_res;
@@ -601,15 +561,8 @@ class KvStore {
         &scanning_, [](bool* flag) { *flag = false; });
     std::size_t visited = 0;
     bool past_hi = false;
-    for (std::size_t p = start_page; p < log_.blocks() && !past_hi;) {
-      std::size_t total = 0;
-      if (p < q) {
-        const std::size_t n = std::min(chunk, q - p);
-        total = log_.read_blocks(p, n, frame);
-        p += n;
-      } else {
-        total = log_.read_block(p++, frame).count;
-      }
+    for (std::size_t p = start_page; p < log_.blocks() && !past_hi; ++p) {
+      const std::size_t total = log_.read_block(p, frame).count;
       for (const Slot& s : frame.first(total)) {
         if (s.key < lo) continue;
         if (s.key > hi) {
@@ -787,12 +740,8 @@ class KvStore {
     Machine& mach = *mach_;
     const std::size_t B = mach.B();
     Scanner<Slot> in(sorted, start_record, records_);
-    // Batched layout writes where deferral is unobservable (plain machine,
-    // non-durable build); wb == 1 elsewhere is the historical path.
-    const std::size_t wb = write_batch_blocks();
-    Writer<Slot> out(log_, start_record, Writer<Slot>::npos, wb);
-    Writer<std::uint64_t> pay(payload_, static_cast<std::size_t>(start_word),
-                              Writer<std::uint64_t>::npos, wb);
+    Writer<Slot> out(log_, start_record);
+    Writer<std::uint64_t> pay(payload_, static_cast<std::size_t>(start_word));
     // The payload gather's one-block frame: input payload positions arrive
     // in key order, i.e. scattered, so each block switch is one charged
     // read and consecutive words from one block are free.
@@ -973,24 +922,6 @@ class KvStore {
     }
   }
 
-  /// Effective blocks per batched read submit: the configured knob on a
-  /// plain machine, 1 (per-op path) under a cache or fault policy, where
-  /// hit accounting and fault/crash interleavings must see every transfer
-  /// individually.
-  std::size_t read_batch_blocks() const {
-    if (cfg_.io_batch_blocks < 2) return 1;
-    if (mach_->cache() != nullptr || mach_->faults() != nullptr) return 1;
-    return cfg_.io_batch_blocks;
-  }
-
-  /// Effective blocks per batched write submit: additionally 1 on durable
-  /// builds, whose checkpoint manifests need the layout frontier flushed at
-  /// exact record boundaries.
-  std::size_t write_batch_blocks() const {
-    if (cfg_.manifest_interval != 0) return 1;
-    return read_batch_blocks();
-  }
-
   /// The last of a located page's `slots` holding `key`, or nullptr.
   /// Duplicate runs never extend into the next page (its fence would then
   /// be <= key, contradicting locate_page's choice), so this is the slot
@@ -1002,10 +933,11 @@ class KvStore {
     return it == slots.begin() || (it - 1)->key != key ? nullptr : &*(it - 1);
   }
 
-  /// The first `elems` slots of the store's reused page frame.
-  std::span<Slot> page_frame(std::size_t elems) {
-    if (frame_.size() < elems) frame_.resize(elems);
-    return std::span<Slot>(frame_.data(), elems);
+  /// The store's reused B-slot page frame.
+  std::span<Slot> page_frame() {
+    const std::size_t B = mach_->B();
+    if (frame_.size() < B) frame_.resize(B);
+    return std::span<Slot>(frame_.data(), B);
   }
 
   /// Hands words [pos, pos + len) of `arr` to `sink`, one span per block,
@@ -1081,9 +1013,10 @@ class KvStore {
   // Each call still charges its own MemoryReservation while it holds one,
   // so the ledger sees exactly the per-call buffers.  A scan() visitor must
   // not call back into the store, which would overwrite them (scanning_).
-  std::vector<Slot> frame_;                // page frame, >= B slots
+  std::vector<Slot> frame_;                // page frame, B slots
   std::vector<std::uint64_t> pay_frame_;   // payload frame, B words
   std::vector<std::uint64_t> scan_value_;  // scan()'s spilled value
+  std::vector<std::size_t> put_order_;     // put_inline_batch()'s op order
   bool scanning_ = false;
 };
 

@@ -42,8 +42,12 @@ Config cached_cfg(std::size_t M, std::size_t B, std::uint64_t w,
 /// Records the order of write-backs the cache requested.
 struct RecordingSink : BlockCache::Sink {
   std::vector<std::uint64_t> written;
-  void cache_write_back(std::uint64_t block) override {
-    written.push_back(block);
+  void write_back(std::span<const std::uint64_t> blocks,
+                  std::size_t& done) override {
+    for (const std::uint64_t block : blocks) {
+      written.push_back(block);
+      ++done;
+    }
   }
 };
 
@@ -53,8 +57,10 @@ struct ThrowingSink : BlockCache::Sink {
   explicit ThrowingSink(std::size_t fail_at) : fail_at_(fail_at) {}
   std::size_t fail_at_;
   std::size_t calls = 0;
-  void cache_write_back(std::uint64_t) override {
-    if (++calls == fail_at_) throw std::runtime_error("write-back failed");
+  void write_back(std::span<const std::uint64_t> blocks,
+                  std::size_t& done) override {
+    for (std::size_t i = 0; i < blocks.size(); ++i, ++done)
+      if (++calls == fail_at_) throw std::runtime_error("write-back failed");
   }
 };
 

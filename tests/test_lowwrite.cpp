@@ -413,7 +413,7 @@ TEST(KvStorePutBatchTest, BatchOfOneChargesLikePutInline) {
 
 TEST(KvStorePutBatchTest, CompactIndexFallsBackToSequential) {
   // kCompact cannot place keys host-side; the batch must charge exactly
-  // like the per-op loop (same fallback rule as the batched scan path).
+  // like the per-op loop (ops located one by one, in submission order).
   std::vector<Slot> slots;
   for (std::size_t i = 0; i < 64; ++i) slots.push_back(Slot{10 * (i + 1), 1, i});
   auto build = [&](Machine& mach, IndexKind kind) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iostream>
 #include <map>
 #include <optional>
 #include <span>
@@ -392,59 +393,76 @@ TEST(DurableBuildTest, ServesIdenticallyToPlainBuildAtManifestCost) {
 }
 
 TEST(DurableBuildTest, CrashAndRecoverAcrossCrashPoints) {
+  // A power cut at EVERY charged write of a durable build, under both index
+  // flavors and three cache settings: each crashed build must recover to a
+  // store byte-identical to the uncrashed one, serving the same answers.
   const Workload w = make_workload(512, 23);
-  const StoreConfig sc{IndexKind::kFence, 8, /*manifest_interval=*/4};
-
-  // Uncrashed durable reference.
-  Machine ref_mach(cfg(4096, 16, 8));
-  auto [rs, rp] = stage(ref_mach, w);
-  KvStore ref(ref_mach, sc);
-  ref.build(rs, rp);
-  const std::uint64_t total_writes = ref_mach.stats().writes;
-  ASSERT_GT(total_writes, 10u);
-
+  struct CacheCase {
+    const char* name;
+    std::size_t blocks;
+    CachePolicy policy;
+  };
+  const CacheCase caches[] = {{"off", 0, CachePolicy::kLru},
+                              {"lru8", 8, CachePolicy::kLru},
+                              {"clean-first8", 8, CachePolicy::kCleanFirst}};
+  std::size_t points = 0;
   bool saw_resume = false;
-  for (const std::uint64_t pct : {5ull, 40ull, 70ull, 95ull}) {
-    Machine mach(cfg(4096, 16, 8));
-    FaultConfig fc;
-    fc.crash_after_writes = std::max<std::uint64_t>(1, total_writes * pct / 100);
-    mach.install_faults(fc);
-    auto [slots, payload] = stage(mach, w);
-    KvStore kv(mach, sc);
-    bool crashed = false;
-    try {
-      kv.build(slots, payload);
-    } catch (const CrashError&) {
-      crashed = true;
+  for (const IndexKind kind : {IndexKind::kFence, IndexKind::kCompact}) {
+    for (const CacheCase& cc : caches) {
+      const StoreConfig sc{kind, 8, /*manifest_interval=*/4};
+      Config c = cfg(4096, 16, 8);
+      c.cache.capacity_blocks = cc.blocks;
+      c.cache.policy = cc.policy;
+
+      // Uncrashed durable reference.
+      Machine ref_mach(c);
+      auto [rs, rp] = stage(ref_mach, w);
+      KvStore ref(ref_mach, sc);
+      ref.build(rs, rp);
+      const std::uint64_t total_writes = ref_mach.stats().writes;
+      ASSERT_GT(total_writes, 10u);
+
+      for (std::uint64_t cut = 1; cut <= total_writes; ++cut) {
+        SCOPED_TRACE(std::string(to_string(kind)) + " cache=" + cc.name +
+                     " cut=" + std::to_string(cut));
+        Machine mach(c);
+        FaultConfig fc;
+        fc.crash_after_writes = cut;
+        mach.install_faults(fc);
+        auto [slots, payload] = stage(mach, w);
+        KvStore kv(mach, sc);
+        EXPECT_THROW(kv.build(slots, payload), CrashError);
+
+        const RecoveryReport rep = kv.recover(slots, payload);
+        saw_resume |= rep.outcome == RecoveryReport::Outcome::kResumed;
+        EXPECT_GT(rep.reads, 0u) << "recovery must charge its detection scan";
+        ++points;
+
+        EXPECT_EQ(kv.log_array().unsafe_host_view(),
+                  ref.log_array().unsafe_host_view())
+            << "outcome=" << to_string(rep.outcome);
+        EXPECT_EQ(kv.payload_array().unsafe_host_view(),
+                  ref.payload_array().unsafe_host_view());
+        util::Rng rng(cut);
+        for (int t = 0; t < 16; ++t) {
+          const std::uint64_t key =
+              w.slots[rng.below(w.slots.size())].key ^ (t % 4 == 0 ? 1 : 0);
+          EXPECT_EQ(kv.get(key), ref.get(key));
+        }
+
+        // The pass was billed on the machine and surfaced in the metrics.
+        EXPECT_EQ(mach.recovery_stats().scans, 1u);
+        EXPECT_EQ(mach.recovery_stats().reads, rep.reads);
+        EXPECT_EQ(mach.recovery_stats().writes, rep.writes);
+        const MetricsSnapshot s = snapshot_metrics(mach, "recover");
+        EXPECT_TRUE(s.reliability.enabled);
+        EXPECT_EQ(s.reliability.crashes, 1u);
+        EXPECT_EQ(s.reliability.recovery.scans, 1u);
+        if (::testing::Test::HasFailure()) return;  // one failing point is enough
+      }
     }
-    ASSERT_TRUE(crashed) << "pct=" << pct;
-
-    const RecoveryReport rep = kv.recover(slots, payload);
-    saw_resume |= rep.outcome == RecoveryReport::Outcome::kResumed;
-    EXPECT_GT(rep.reads, 0u) << "recovery must charge its detection scan";
-
-    // Recovered store is byte-identical to the uncrashed build and serves
-    // the same answers.
-    EXPECT_EQ(kv.log_array().unsafe_host_view(),
-              ref.log_array().unsafe_host_view())
-        << "pct=" << pct << " outcome=" << to_string(rep.outcome);
-    EXPECT_EQ(kv.payload_array().unsafe_host_view(),
-              ref.payload_array().unsafe_host_view());
-    util::Rng rng(pct);
-    for (int t = 0; t < 16; ++t) {
-      const std::uint64_t key = w.slots[rng.below(w.slots.size())].key;
-      EXPECT_EQ(kv.get(key), ref.get(key));
-    }
-
-    // The pass was billed on the machine and surfaced in metrics v6.
-    EXPECT_EQ(mach.recovery_stats().scans, 1u);
-    EXPECT_EQ(mach.recovery_stats().reads, rep.reads);
-    EXPECT_EQ(mach.recovery_stats().writes, rep.writes);
-    const MetricsSnapshot s = snapshot_metrics(mach, "recover");
-    EXPECT_TRUE(s.reliability.enabled);
-    EXPECT_EQ(s.reliability.crashes, 1u);
-    EXPECT_EQ(s.reliability.recovery.scans, 1u);
   }
+  std::cout << "[ crash sweep ] " << points << " crash points recovered\n";
   EXPECT_TRUE(saw_resume) << "no crash point exercised a mid-layout resume";
 }
 

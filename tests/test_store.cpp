@@ -822,16 +822,14 @@ struct LedgerPeaks {
 /// miss / inline-hit triples are forced throughout.  After every call the
 /// ledger must be back to the resident index.
 LedgerPeaks serve_and_check(IndexKind kind, std::size_t cache_blocks,
-                            std::size_t io_batch, std::uint64_t seed) {
+                            std::uint64_t seed) {
   Config c = cfg(4096, 16, 8);
   c.cache.capacity_blocks = cache_blocks;
   Machine mach(c);
   const Dataset d = make_dataset(700, seed, 40);
   auto [slots, payload] = stage(mach, d);
   const std::size_t baseline = mach.ledger().used();
-  StoreConfig sc{kind, 8};
-  sc.io_batch_blocks = io_batch;
-  KvStore kv(mach, sc);
+  KvStore kv(mach, StoreConfig{kind, 8});
   kv.build(slots, payload);
   const std::size_t resting = mach.ledger().used();
   EXPECT_EQ(resting, baseline + kv.index_resident_words());
@@ -924,30 +922,24 @@ LedgerPeaks serve_and_check(IndexKind kind, std::size_t cache_blocks,
 TEST(KvStoreReuseTest, RandomSequenceMatchesModelAndLedgerIsUnchanged) {
   // Ledger peaks pinned from the per-call Buffer / Scanner implementation
   // (B = 16): a page plus a payload block for a spilled get or scan (2B),
-  // one page for a put or a put batch (B), chunk*B + B for a batched fence
-  // scan on a plain machine (5B), and the absolute high-water mark over
-  // the sequence.  Reusing host frames must not move any of them.
+  // one page for a put or a put batch (B), and the absolute high-water
+  // mark over the sequence.  Reusing host frames must not move any of them.
   struct Case {
     IndexKind kind;
     std::size_t cache_blocks;
-    std::size_t io_batch;
+    std::uint64_t seed;
     LedgerPeaks peaks;
   };
   const Case cases[] = {
-      {IndexKind::kFence, 0, 1, {32, 16, 32, 95}},
-      {IndexKind::kFence, 32, 1, {32, 16, 32, 95}},
-      {IndexKind::kFence, 0, 4, {32, 16, 80, 143}},
-      {IndexKind::kCompact, 0, 1, {32, 16, 32, 40}},
-      {IndexKind::kCompact, 32, 1, {32, 16, 32, 40}},
-      {IndexKind::kCompact, 0, 4, {32, 16, 32, 40}},
+      {IndexKind::kFence, 0, 31, {32, 16, 32, 95}},
+      {IndexKind::kFence, 32, 32, {32, 16, 32, 95}},
+      {IndexKind::kCompact, 0, 34, {32, 16, 32, 40}},
+      {IndexKind::kCompact, 32, 35, {32, 16, 32, 40}},
   };
-  std::uint64_t seed = 31;
   for (const Case& k : cases) {
     SCOPED_TRACE(std::string(to_string(k.kind)) + " cache=" +
-                 std::to_string(k.cache_blocks) +
-                 " batch=" + std::to_string(k.io_batch));
-    const LedgerPeaks got =
-        serve_and_check(k.kind, k.cache_blocks, k.io_batch, seed++);
+                 std::to_string(k.cache_blocks));
+    const LedgerPeaks got = serve_and_check(k.kind, k.cache_blocks, k.seed);
     EXPECT_EQ(got.get, k.peaks.get);
     EXPECT_EQ(got.put, k.peaks.put);
     EXPECT_EQ(got.scan, k.peaks.scan);

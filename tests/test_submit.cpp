@@ -1,22 +1,23 @@
-// Tests for Machine::submit, the io_uring-shaped batched submission path
-// (docs/MODEL.md section 17): byte-identity of counters / phases / wear /
-// trace with the per-op hooks, completion tickets, per-op degradation under
-// armed crash points and fault injection, all-or-nothing ceiling admission,
-// the sharded per-device batch routing, the batched cache flush, and the
-// batch-aware Writer / KvStore bulk paths.
+// Tests for Machine::submit, the one charge entry (docs/MODEL.md section
+// 17): byte-identity of counters / phases / wear / trace with op-at-a-time
+// charging, completion tickets, the per-op replay of batches that fire a
+// crash point or a ceiling, the sharded per-device batch routing, the
+// batched cache flush, and a randomized batch == per-op property test over
+// plain and sharded machines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iostream>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/ext_array.hpp"
 #include "core/faults.hpp"
 #include "core/machine.hpp"
-#include "core/metrics.hpp"
 #include "core/sharding.hpp"
 #include "core/trace.hpp"
-#include "io/writer.hpp"
-#include "store/kv_store.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -155,6 +156,25 @@ TEST(SubmitTest, CrashFiresOnExactNthChargedWriteInsideBatch) {
   EXPECT_EQ(per_op.stats(), batched.stats());
 }
 
+TEST(SubmitTest, DueCrashFiresOnFirstOpOfReadOnlyBatch) {
+  // Armed after the write clock already passed the cut: the next op of any
+  // kind fires, so even a read-only batch stops after its first read.
+  FaultConfig fc;
+  fc.crash_after_writes = 2;
+  Machine per_op(cfg());
+  Machine batched(cfg());
+  for (Machine* m : {&per_op, &batched}) {
+    m->register_array("a");
+    for (std::uint64_t b = 0; b < 3; ++b) m->on_write(0, b);
+    m->install_faults(fc);
+  }
+  const std::vector<BlockOp> reads(5, BlockOp{OpKind::kRead, 0, 1});
+  EXPECT_THROW(replay_per_op(per_op, reads), CrashError);
+  EXPECT_THROW(batched.submit(reads), CrashError);
+  EXPECT_EQ(per_op.stats(), batched.stats());
+  EXPECT_EQ(batched.stats().reads, 1u);
+}
+
 TEST(SubmitTest, CrashBeyondBatchStaysArmedAndBulk) {
   FaultConfig fc;
   fc.crash_after_writes = 1000;
@@ -167,92 +187,43 @@ TEST(SubmitTest, CrashBeyondBatchStaysArmedAndBulk) {
   EXPECT_TRUE(m.faults()->crash_armed());
 }
 
-TEST(SubmitTest, CeilingRejectsWholeBatchWithoutPartialCharges) {
-  // All-or-nothing admission: a batch whose projected total crosses the
-  // ceiling throws BudgetExceeded BEFORE any op is charged (the per-op
-  // path would charge up to and including the crossing op — the one
-  // documented divergence).
+TEST(SubmitTest, CeilingChargesPerOpPrefixThenThrows) {
+  // A batch whose projected total crosses a ceiling is replayed one op at a
+  // time: every op up to and including the crossing one is charged, then
+  // BudgetExceeded is thrown — exactly what the per-op loop does.
   for (const bool use_cost_ceiling : {true, false}) {
     FaultConfig fc;
     if (use_cost_ceiling) {
-      fc.max_cost = 50;  // 20 reads + 10 writes at omega 8 = 100 > 50
+      fc.max_cost = 50;  // 5 (R, R, W) triples cost 50; the 16th op crosses
     } else {
       fc.max_ios = 25;
     }
-    Machine m(cfg());
-    m.register_array("a");
-    m.register_array("b");
-    m.install_faults(fc);
+    Machine per_op(cfg());
+    Machine batched(cfg());
+    for (Machine* m : {&per_op, &batched}) {
+      m->register_array("a");
+      m->register_array("b");
+      m->install_faults(fc);
+    }
     const std::vector<BlockOp> ops = mixed_ops(30);
-    EXPECT_THROW(m.submit(ops), BudgetExceeded);
-    EXPECT_EQ(m.stats().total_ios(), 0u) << "cost=" << use_cost_ceiling;
+    EXPECT_THROW(replay_per_op(per_op, ops), BudgetExceeded);
+    try {
+      batched.submit(ops);
+      ADD_FAILURE() << "no BudgetExceeded, cost=" << use_cost_ceiling;
+    } catch (const BudgetExceeded& e) {
+      EXPECT_EQ(e.at(), batched.stats());
+    }
+    EXPECT_EQ(per_op.stats(), batched.stats());
+    EXPECT_EQ(batched.stats().total_ios(), use_cost_ceiling ? 16u : 26u);
 
-    // A batch that fits is admitted and charged in full.
-    const std::vector<BlockOp> small = mixed_ops(6);
-    EXPECT_NO_THROW(m.submit(small));
-    EXPECT_EQ(m.stats().total_ios(), 6u);
+    // A batch that fits is charged in full.
+    Machine fresh(cfg());
+    fresh.register_array("a");
+    fresh.register_array("b");
+    fresh.install_faults(fc);
+    EXPECT_NO_THROW(fresh.submit(mixed_ops(6)));
+    EXPECT_EQ(fresh.stats().total_ios(), 6u);
   }
-}
-
-TEST(SubmitTest, ExtArrayBulkReadsWritesMatchPerBlock) {
-  // read_blocks/write_blocks on a plain machine must be byte-identical to
-  // the per-block loops, including trace op order and atom annotations.
-  Machine a(cfg());
-  Machine b(cfg());
-  a.enable_trace();
-  b.enable_trace();
-  ExtArray<std::uint64_t> arr_a(a, 160, "arr");
-  ExtArray<std::uint64_t> arr_b(b, 160, "arr");
-  std::vector<std::uint64_t> src(160);
-  for (std::size_t i = 0; i < src.size(); ++i) src[i] = 1000 + i;
-
-  std::size_t off = 0;
-  for (std::uint64_t bi = 0; bi < 10; ++bi) {
-    const std::size_t count = arr_a.block_elems(bi);
-    arr_a.write_block(bi, std::span<const std::uint64_t>(&src[off], count));
-    off += count;
-  }
-  arr_b.write_blocks(0, 10, std::span<const std::uint64_t>(src));
-
-  std::vector<std::uint64_t> got_a(160);
-  std::vector<std::uint64_t> got_b(160);
-  off = 0;
-  for (std::uint64_t bi = 0; bi < 10; ++bi)
-    off += arr_a.read_block(bi, std::span<std::uint64_t>(got_a).subspan(off))
-               .count;
-  arr_b.read_blocks(0, 10, std::span<std::uint64_t>(got_b));
-
-  EXPECT_EQ(got_a, got_b);
-  EXPECT_EQ(got_b, src);
-  EXPECT_EQ(a.stats(), b.stats());
-  expect_same_traces(a.trace(), b.trace());
-}
-
-TEST(SubmitTest, ExtArrayBulkDegradesPerBlockUnderInjectedFaults) {
-  // With an injecting fault schedule the bulk entry points must take the
-  // per-block loop, so retries/verifies consume the SAME deterministic
-  // fault stream as the historical path.
-  FaultConfig fc;
-  fc.seed = 99;
-  fc.read_fault_rate = 0.2;
-  Machine a(cfg());
-  Machine b(cfg());
-  a.install_faults(fc);
-  b.install_faults(fc);
-  ExtArray<std::uint64_t> arr_a(a, 160, "arr");
-  ExtArray<std::uint64_t> arr_b(b, 160, "arr");
-
-  std::vector<std::uint64_t> got_a(160);
-  std::vector<std::uint64_t> got_b(160);
-  std::size_t off = 0;
-  for (std::uint64_t bi = 0; bi < 10; ++bi)
-    off += arr_a.read_block(bi, std::span<std::uint64_t>(got_a).subspan(off))
-               .count;
-  arr_b.read_blocks(0, 10, std::span<std::uint64_t>(got_b));
-
-  EXPECT_EQ(got_a, got_b);
-  EXPECT_EQ(a.stats(), b.stats());
-  EXPECT_EQ(a.faults()->stats(), b.faults()->stats());
 }
 
 ShardConfig shard_cfg(std::size_t devices, std::size_t dev_block = 16) {
@@ -345,73 +316,171 @@ TEST(SubmitTest, CacheFlushBatchesIdenticallyToPerBlockFlush) {
             per_block.cache()->stats().write_backs);
 }
 
-TEST(SubmitTest, BatchedWriterMatchesLegacyWriter) {
-  for (const std::size_t batch : {2u, 4u, 7u}) {
-    Machine legacy(cfg());
-    Machine batched(cfg());
-    ExtArray<std::uint64_t> arr_l(legacy, 250, "arr");  // terminal partial
-    ExtArray<std::uint64_t> arr_b(batched, 250, "arr");
-    Writer<std::uint64_t> w_l(arr_l);
-    Writer<std::uint64_t> w_b(arr_b, 0, Writer<std::uint64_t>::npos, batch);
-    for (std::uint64_t i = 0; i < 250; ++i) {
-      w_l.push(i * 3);
-      w_b.push(i * 3);
-    }
-    w_l.finish();
-    w_b.finish();
-    EXPECT_EQ(legacy.stats(), batched.stats()) << "batch " << batch;
+// --- batch == per-op property test ----------------------------------------
 
-    std::vector<std::uint64_t> got_l(250);
-    std::vector<std::uint64_t> got_b(250);
-    arr_l.read_blocks(0, arr_l.blocks(), std::span<std::uint64_t>(got_l));
-    arr_b.read_blocks(0, arr_b.blocks(), std::span<std::uint64_t>(got_b));
-    EXPECT_EQ(got_l, got_b);
+enum class Arm { kNone, kCrash, kCost, kIos, kDeviceCost, kDeviceIos,
+                 kDeviceCrash };
+
+// What a submit (or its op-at-a-time twin) threw, and the charges it
+// carried at the moment of the throw.
+struct Thrown {
+  std::string kind = "none";
+  IoStats at;
+};
+
+template <class Fn>
+Thrown run_catching(Fn&& fn) {
+  Thrown t;
+  try {
+    fn();
+  } catch (const CrashError& e) {
+    t.kind = "crash";
+    t.at = e.at();
+  } catch (const BudgetExceeded& e) {
+    t.kind = "budget";
+    t.at = e.at();
+  }
+  return t;
+}
+
+void expect_same_machine(const Machine& a, const Machine& b,
+                         const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(a.stats(), b.stats());
+  EXPECT_EQ(a.phase_stats(), b.phase_stats());
+  const auto wa = a.wear_by_array();
+  const auto wb = b.wear_by_array();
+  ASSERT_EQ(wa.size(), wb.size());
+  for (std::size_t i = 0; i < wa.size(); ++i) {
+    EXPECT_EQ(wa[i].array, wb[i].array);
+    EXPECT_EQ(wa[i].blocks_written, wb[i].blocks_written);
+    EXPECT_EQ(wa[i].writes, wb[i].writes);
+    EXPECT_EQ(wa[i].max_writes, wb[i].max_writes);
   }
 }
 
-TEST(SubmitTest, KvStoreBatchedBuildAndScanMatchLegacyCharges) {
-  using namespace aem::store;
-  util::Rng rng(5);
-  std::vector<Slot> recs;
-  for (int i = 0; i < 900; ++i)
-    recs.push_back(Slot{rng.next() >> 40, 1, rng.next()});
+TEST(SubmitPropertyTest, RandomBatchesMatchOpAtATimeUnderArmedSchedules) {
+  // Seeded random op streams cut into random batch sizes (1 included) and
+  // submitted, against a twin charging the same ops one at a time through
+  // on_read/on_write.  Every run arms one schedule — a crash point, a cost
+  // or I/O ceiling on the machine, or (sharded) a ceiling or crash point on
+  // one member device — sized to land inside the stream most of the time.
+  // After every batch both machines must agree on counters, phases, wear,
+  // trace, tickets, device counters and wear, and on the type of any throw
+  // and the charges it carried.
+  std::size_t runs = 0;
+  std::size_t throws = 0;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    util::Rng rng(seed);
+    const int shape = static_cast<int>(seed % 3);  // plain, RR, range
+    const std::size_t n_ops = 20 + rng.below(180);
+    std::vector<BlockOp> ops;
+    std::uint64_t total_writes = 0;
+    const std::uint64_t write_one_in = 2 + rng.below(7);
+    for (std::size_t i = 0; i < n_ops; ++i) {
+      const bool w = rng.below(write_one_in) == 0;
+      total_writes += w ? 1 : 0;
+      ops.push_back(BlockOp{w ? OpKind::kWrite : OpKind::kRead,
+                            static_cast<std::uint32_t>(rng.below(3)),
+                            rng.below(40)});
+    }
+    const Arm arm = static_cast<Arm>(rng.below(shape == 0 ? 4 : 7));
+    // Some runs arm only after a few writes, so a schedule can already be
+    // due when the first batch arrives (even a read-only one then fires).
+    const std::uint64_t warm_writes = rng.below(2) == 0 ? 0 : rng.below(6);
 
-  auto run = [&](std::size_t io_batch) {
-    Machine mach(cfg(4096, 16, 8));
-    ExtArray<Slot> slots(mach, recs.size(), "in");
-    slots.unsafe_host_fill(std::span<const Slot>(recs));
-    ExtArray<std::uint64_t> payload(mach, 1, "pay");
-    StoreConfig sc;
-    sc.io_batch_blocks = io_batch;
-    KvStore kv(mach, sc);
-    kv.build(slots, payload);
+    ShardConfig sc;
+    sc.frontend = cfg(1024, 16, 8);
+    sc.placement = shape == 2 ? Placement::kRange : Placement::kRoundRobin;
+    sc.range_chunk_blocks = 3;
+    const std::size_t dev_b[3] = {16, 8, 4};
+    const std::uint64_t dev_w[3] = {8, 2, 16};
+    for (std::size_t d = 0; d < 3; ++d)
+      sc.devices.push_back(cfg(1024, dev_b[d], dev_w[d]));
+    auto make = [&]() -> std::unique_ptr<Machine> {
+      if (shape == 0) return std::make_unique<Machine>(sc.frontend);
+      return std::make_unique<ShardedMachine>(sc);
+    };
+    std::unique_ptr<Machine> batched = make();
+    std::unique_ptr<Machine> twin = make();
 
-    struct Result {
-      std::uint64_t build_reads, build_writes, build_cost;
-      std::size_t scanned;
-      std::uint64_t scan_keysum;
-      IoStats after_scan;
-    } r{};
-    r.build_reads = kv.build_reads();
-    r.build_writes = kv.build_writes();
-    r.build_cost = kv.build_cost();
-    r.scan_keysum = 0;
-    r.scanned = kv.scan(
-        1ull << 20, 1ull << 23,
-        [&](std::uint64_t key, std::span<const std::uint64_t> value) {
-          r.scan_keysum += key + value.size();
-        });
-    // And a full scan plus an empty one, so the page-q edge paths run.
-    kv.scan(0, ~std::uint64_t{0}, [](std::uint64_t, auto) {});
-    kv.scan(~std::uint64_t{0}, ~std::uint64_t{0}, [](std::uint64_t, auto) {});
-    r.after_scan = mach.stats();
-    return std::tuple{r.build_reads, r.build_writes, r.build_cost, r.scanned,
-                      r.scan_keysum, r.after_scan.reads, r.after_scan.writes};
-  };
+    FaultConfig fc;
+    const std::uint64_t full_cost = n_ops + 7 * total_writes;
+    switch (arm) {
+      case Arm::kNone: break;
+      case Arm::kCrash:
+        fc.crash_after_writes =
+            1 + rng.below(rng.below(2) == 0 ? warm_writes + 1
+                                            : warm_writes + total_writes + 4);
+        break;
+      case Arm::kCost: fc.max_cost = 1 + rng.below(full_cost + 8); break;
+      case Arm::kIos: fc.max_ios = 1 + rng.below(n_ops + 8); break;
+      case Arm::kDeviceCost: fc.max_cost = 1 + rng.below(3 * full_cost); break;
+      case Arm::kDeviceIos: fc.max_ios = 1 + rng.below(2 * n_ops); break;
+      case Arm::kDeviceCrash:
+        fc.crash_after_writes = 1 + rng.below(2 * total_writes + 4);
+        break;
+    }
+    const bool on_device = arm >= Arm::kDeviceCost;
+    const std::size_t armed_dev = rng.below(3);
+    for (Machine* m : {batched.get(), twin.get()}) {
+      for (const char* name : {"a", "b", "c"}) m->register_array(name);
+      m->enable_wear_tracking();
+      m->enable_trace();
+      for (std::uint64_t i = 0; i < warm_writes; ++i) m->on_write(0, i);
+      if (auto* sm = dynamic_cast<ShardedMachine*>(m)) {
+        sm->enable_device_wear_tracking();
+        if (on_device) sm->device(armed_dev).install_faults(fc);
+      }
+      if (arm != Arm::kNone && !on_device) m->install_faults(fc);
+    }
 
-  const auto legacy = run(1);
-  const auto batched = run(8);
-  EXPECT_EQ(legacy, batched);
+    ++runs;
+    Thrown got, want;
+    std::size_t pos = 0;
+    for (std::size_t batch = 0; pos < ops.size(); ++batch) {
+      const std::size_t len =
+          std::min(ops.size() - pos, rng.below(4) == 0 ? 1 : 1 + rng.below(24));
+      const std::vector<BlockOp> part(ops.begin() + pos,
+                                      ops.begin() + pos + len);
+      pos += len;
+      const char* phase = batch % 2 == 0 ? "even" : "odd";
+      std::vector<IoTicket> tickets(part.size());
+      std::vector<IoTicket> twin_tickets;
+      got = run_catching([&] {
+        auto p = batched->phase(phase);
+        batched->submit(part, tickets);
+      });
+      want = run_catching([&] {
+        auto p = twin->phase(phase);
+        replay_per_op(*twin, part, &twin_tickets);
+      });
+      SCOPED_TRACE("seed " + std::to_string(seed) + " batch " +
+                   std::to_string(batch));
+      ASSERT_EQ(got.kind, want.kind);
+      EXPECT_EQ(got.at, want.at);
+      expect_same_machine(*twin, *batched, "facade");
+      expect_same_traces(twin->trace(), batched->trace());
+      if (want.kind == "none") {
+        for (std::size_t i = 0; i < part.size(); ++i)
+          EXPECT_EQ(tickets[i].index, twin_tickets[i].index) << "op " << i;
+      }
+      if (shape != 0) {
+        auto& sb = dynamic_cast<ShardedMachine&>(*batched);
+        auto& st = dynamic_cast<ShardedMachine&>(*twin);
+        for (std::size_t d = 0; d < 3; ++d)
+          expect_same_machine(st.device(d), sb.device(d),
+                              "device " + std::to_string(d));
+      }
+      if (want.kind != "none") {
+        ++throws;
+        break;
+      }
+    }
+  }
+  std::cout << "[ property  ] " << runs << " runs, " << throws
+            << " ended in a throw\n";
+  EXPECT_GT(throws, runs / 3);
 }
 
 }  // namespace

@@ -20,7 +20,9 @@
 #      code paths;
 #   8. the ARCHITECTURE.md layer diagram names every bench: the ID of each
 #      bench/bench_<id>_*.cpp (E1, M0, W1, ...) appears as a word inside
-#      the diagram's code block.
+#      the diagram's code block;
+#   9. docs/ARCHITECTURE.md names every src/core header (block_store.hpp,
+#      ext_array.hpp, ...).
 #
 # Scope: the maintained doc set (README, DESIGN, EXPERIMENTS, docs/*).
 # CHANGES.md / ISSUE.md / ROADMAP.md are historical logs and exempt.
@@ -131,6 +133,15 @@ for src in "$REPO"/bench/bench_*.cpp; do
     err "docs/ARCHITECTURE.md layer diagram does not name bench $id ($(basename "$src"))"
 done
 
+# --- 9. every src/core header in ARCHITECTURE.md ----------------------------
+n_core=0
+for h in "$REPO"/src/core/*.hpp; do
+  name="$(basename "$h" .hpp)"
+  n_core=$((n_core + 1))
+  grep -qE "\\b${name}\\.hpp" "$REPO/docs/ARCHITECTURE.md" ||
+    err "docs/ARCHITECTURE.md does not name src/core/${name}.hpp"
+done
+
 if [[ $fail -ne 0 ]]; then
   echo "check_docs: FAILED" >&2
   exit 1
@@ -138,4 +149,4 @@ fi
 echo "check_docs passed: ${#bench_refs[@]} bench binaries, ${#script_refs[@]} scripts," \
      "${#src_refs[@]} example/tool sources, schema $schema, all src/ subdirs covered," \
      "traffic layer documented, low-write suite documented," \
-     "$n_bench_ids bench IDs in the layer diagram"
+     "$n_bench_ids bench IDs in the layer diagram, $n_core src/core headers named"

@@ -65,12 +65,14 @@ echo "store tests + bench_k1_store clean under ASan+UBSan"
 
 # Crash-injection pass: cut a durable store build at an env-chosen write
 # (CrashEnvRecoveryTest builds its FaultConfig via from_env and must recover
-# to a byte-identical store), then run bench_f1_recovery, whose internal
+# to a byte-identical store), cut a serving put stream at every write
+# (ServingCrashTest), check the pinned charges of cached durable builds,
+# then run bench_f1_recovery, whose internal
 # guards (recovered-store identity, recovery write-bill bound, outage
 # accounting) double as asserts — manifest recovery and the outage
 # queue/drain path are exactly where a torn-state bug would hide from the
 # release build.
-echo "=== crash-injection pass (AEM_CRASH_AFTER_WRITES=45 + bench_f1_recovery under ASan+UBSan) ==="
+echo "=== crash-injection pass (AEM_CRASH_AFTER_WRITES=45 + serving crash sweep + cached-build pin + bench_f1_recovery under ASan+UBSan) ==="
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="print_stacktrace=1" \
 AEM_CRASH_AFTER_WRITES=45 \
@@ -78,8 +80,12 @@ AEM_CRASH_AFTER_WRITES=45 \
   --gtest_filter='CrashEnvRecoveryTest.*' > /dev/null
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="print_stacktrace=1" \
+  "$BUILD_DIR/tests/aem_tests" \
+  --gtest_filter='ServingCrashTest.*:DurableBuildTest.CachedBuildChargesArePinned' > /dev/null
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+UBSAN_OPTIONS="print_stacktrace=1" \
   "$BUILD_DIR/bench/bench_f1_recovery" --jobs=2 > /dev/null
-echo "crash-injection pass clean (env-armed cut recovered; bench_f1_recovery guards hold)"
+echo "crash-injection pass clean (env-armed cut recovered; serving cuts match; cached-build charges pinned; bench_f1_recovery guards hold)"
 
 # Traffic pass: the TrafficEngine's per-request cost deltas, histogram
 # bucketing, and admission bookkeeping sit on top of every other layer, so

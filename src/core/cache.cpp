@@ -174,10 +174,6 @@ void BlockCache::insert(std::uint32_t array, std::uint64_t block, bool dirty,
   if (dirty) ++resident_dirty_;
 }
 
-void BlockCache::move_sink(std::uint32_t array, Sink* sink) {
-  if (array < sinks_.size()) sinks_[array] = sink;
-}
-
 std::size_t BlockCache::flush() {
   ++stats_.flushes;
   // Deterministic order regardless of hash-map iteration: collect and sort.
@@ -226,9 +222,9 @@ std::size_t BlockCache::flush() {
 }
 
 void BlockCache::invalidate_array(std::uint32_t array) {
-  // The array's storage — and with it the Sink the array implements — is
-  // going away.  Forget the sink FIRST, even when no blocks are resident:
-  // leaving the pointer in sinks_ would dangle into the destroyed ExtArray,
+  // The array's storage — and with it the Sink its BlockStore implements —
+  // is going away.  Forget the sink FIRST, even when no blocks are resident:
+  // leaving the pointer in sinks_ would dangle into the destroyed store,
   // an armed use-after-free for any later evict_one()/flush() that touches
   // this slot.
   if (array < sinks_.size()) sinks_[array] = nullptr;

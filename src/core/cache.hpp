@@ -22,7 +22,7 @@
 // The pool models a device-side buffer (an SSD's DRAM cache, a controller
 // buffer): its capacity does NOT count against the algorithm's internal
 // memory M, and its hits produce no machine I/O, no trace ops, and no wear.
-// Write-backs are real charged writes that go through the full ExtArray
+// Write-backs are real charged writes that go through the full BlockStore
 // device path — under an installed FaultPolicy they can fault, retry,
 // verify, and retire blocks like any other write.
 //
@@ -92,14 +92,15 @@ struct CacheStats {
 
 /// The buffer pool proper: a fixed set of block frames, an eviction policy,
 /// and per-array write-back sinks.  Holds metadata only — the cached bytes
-/// live in the owning ExtArray, which registers a Sink so evictions can
-/// push dirty blocks back through the charged (and possibly faulty) device
-/// write path.  Owned by Machine (Machine::install_cache); consulted by
-/// ExtArray on every block transfer.  Deterministic: identical op
+/// live in the owning array's BlockStore, which registers itself as the
+/// Sink so evictions can push dirty blocks back through the charged (and
+/// possibly faulty) device write path.  Owned by Machine
+/// (Machine::install_cache); consulted by BlockStore on every block
+/// transfer.  Deterministic: identical op
 /// sequences produce identical hits, victims, and charges.
 class BlockCache {
  public:
-  /// Write-back target of one array, implemented by ExtArray<T>.  The sink
+  /// Write-back target of one array, implemented by BlockStore.  The sink
   /// must perform a charged device write of each block's current (pool)
   /// contents, in order; under fault injection each write retries,
   /// verifies, and remaps like any other.  `done` counts blocks fully
@@ -136,7 +137,7 @@ class BlockCache {
   std::size_t resident() const { return resident_; }
   std::size_t resident_dirty() const { return resident_dirty_; }
 
-  // --- the ExtArray-facing hot path ---------------------------------------
+  // --- the BlockStore-facing hot path -------------------------------------
   /// Lookup for a read; on a hit the block is touched (policy-specific) and
   /// true is returned — serve the data from the pool, charge nothing.
   bool find_read(std::uint32_t array, std::uint64_t block) {
@@ -176,9 +177,6 @@ class BlockCache {
   void insert(std::uint32_t array, std::uint64_t block, bool dirty,
               Sink* sink);
 
-  /// Re-points an array's write-back sink (ExtArray move support).
-  void move_sink(std::uint32_t array, Sink* sink);
-
   /// Writes back every dirty block (deterministically, in ascending
   /// (array, block) order) and marks it clean; resident blocks stay
   /// resident.  Returns the number of charged write-backs.  On an
@@ -189,7 +187,7 @@ class BlockCache {
   /// Drops every entry of `array` WITHOUT write-backs (the array's storage
   /// is going away: destruction or restaging).  Dirty drops are counted in
   /// stats().invalidated_dirty.  Also forgets the array's write-back sink —
-  /// the Sink lives inside the ExtArray being destroyed, so keeping the
+  /// the Sink is the BlockStore being destroyed, so keeping the
   /// pointer would leave evict_one()/flush() one dirty frame away from a
   /// use-after-free.
   void invalidate_array(std::uint32_t array);

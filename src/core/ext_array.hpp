@@ -5,22 +5,8 @@
 // to the owning Machine.  Host code can never touch the stored elements
 // except through these charged transfers — that discipline is what makes the
 // machine's counters a faithful implementation of the AEM cost measure.
-//
-// When the machine has a FaultPolicy installed (core/faults.hpp), ExtArray
-// is also the device's recovery layer: blocks carry checksums, reads verify
-// and retry on corruption, writes verify-after-write and rewrite on failure
-// (every retry charged through the normal accounting), retired blocks are
-// transparently migrated to spares via a wear-leveling RemapTable
-// (core/remap.hpp).  Algorithms run unmodified; they only see the extra
-// charged I/Os.  With no policy installed, the code path is byte-identical
-// to the perfect device.
-//
-// When the machine has a BlockCache installed (core/cache.hpp), ExtArray
-// routes every transfer through it: hits are served from the pool (no
-// charge, no trace op, no wear), writes dirty their block instead of paying
-// omega, and eviction/flush write-backs re-enter the charged device path —
-// including the full fault/recovery machinery — via the Sink interface.
-// With no cache installed (capacity 0), the path is again byte-identical.
+// ExtArray<T> is a typed handle: the bytes, the block cache and the fault
+// recovery live in its untyped BlockStore (core/block_store.hpp).
 //
 // Buffer<T> is the internal-memory counterpart: an RAII allocation
 // registered with the machine's MemoryLedger, so the ledger's high-water
@@ -39,31 +25,16 @@
 #include <utility>
 #include <vector>
 
-#include "core/cache.hpp"
-#include "core/faults.hpp"
+#include "core/block_store.hpp"
 #include "core/machine.hpp"
-#include "core/remap.hpp"
 
 namespace aem {
 
-/// Result of a block transfer: element count plus the trace ticket (invalid
-/// when tracing is off).  The ticket lets atom-tracking algorithms annotate
-/// the recorded op (Lemma 4.3 needs per-read use-sets).  Under fault
-/// injection the ticket is that of the final (successful) attempt.
-struct BlockIo {
-  std::size_t count = 0;
-  IoTicket ticket;
-};
-
 template <class T>
-class ExtArray : private BlockCache::Sink {
-  /// Checksums hash object representations, so they are only sound for
-  /// types whose value determines every byte (no padding, no NaN aliasing).
-  /// For other types the recovery layer falls back to per-block
-  /// known-corrupt flags — the simulator knows what it corrupted, which
-  /// models a perfect device-side ECC without hashing indeterminate bytes.
-  static constexpr bool kChecksummable =
-      std::has_unique_object_representations_v<T>;
+class ExtArray {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "ExtArray elements move by memcpy: T must be trivially "
+                "copyable");
 
  public:
   /// An empty, machine-less array (useful as a moved-from placeholder).
@@ -73,63 +44,26 @@ class ExtArray : private BlockCache::Sink {
   /// Allocates external storage for `elems` elements.  Allocation itself is
   /// free in the model (external memory is unbounded); only transfers cost.
   ExtArray(Machine& mach, std::size_t elems, std::string name)
-      : mach_(&mach),
-        id_(mach.register_array(std::move(name))),
-        data_(elems),
-        blocks_(mach.n_of(elems)) {}
+      : s_(std::make_unique<Store>(mach, elems, std::move(name))) {}
 
   /// Moved-from arrays become machine-less placeholders (operations throw
-  /// std::logic_error) instead of silently aliasing the old machine.  The
-  /// machine's block cache (if any) is re-pointed at the new object, so
-  /// pending write-backs of this array's blocks keep working.
-  ExtArray(ExtArray&& o) noexcept
-      : mach_(std::exchange(o.mach_, nullptr)),
-        id_(std::exchange(o.id_, 0)),
-        data_(std::move(o.data_)),
-        blocks_(std::exchange(o.blocks_, 0)),
-        atom_of_(std::move(o.atom_of_)),
-        rec_(std::move(o.rec_)) {
-    repoint_cache_sink();
-  }
-
-  ExtArray& operator=(ExtArray&& o) noexcept {
-    if (this != &o) {
-      drop_cache_entries();  // this object's storage is being replaced
-      mach_ = std::exchange(o.mach_, nullptr);
-      id_ = std::exchange(o.id_, 0);
-      data_ = std::move(o.data_);
-      blocks_ = std::exchange(o.blocks_, 0);
-      atom_of_ = std::move(o.atom_of_);
-      rec_ = std::move(o.rec_);
-      repoint_cache_sink();
-    }
-    return *this;
-  }
-
-  /// Dirty cached blocks of a dying array are dropped WITHOUT write-backs
-  /// (there is no storage left to persist to); the drop is counted in
-  /// CacheStats::invalidated_dirty.  Flush the machine's cache first if
+  /// std::logic_error); the store moves by pointer, so its pending cache
+  /// write-backs keep working.  Overwriting or destroying an array drops its
+  /// dirty cached blocks uncharged (BlockStore::~BlockStore): flush first if
   /// full Q accounting matters.  Arrays must not outlive their machine.
-  ~ExtArray() { drop_cache_entries(); }
+  ExtArray(ExtArray&&) noexcept = default;
+  ExtArray& operator=(ExtArray&&) noexcept = default;
+  ~ExtArray() = default;
 
-  ExtArray(const ExtArray&) = delete;
-  ExtArray& operator=(const ExtArray&) = delete;
-
-  std::size_t size() const { return data_.size(); }
-  bool empty() const { return data_.empty(); }
-  std::size_t blocks() const { return blocks_; }
-  std::uint32_t id() const { return id_; }
-  Machine& machine() const {
-    check_attached();
-    return *mach_;
-  }
+  std::size_t size() const { return s_ ? s_->data.size() : 0; }
+  bool empty() const { return size() == 0; }
+  std::size_t blocks() const { return s_ ? s_->blocks() : 0; }
+  std::uint32_t id() const { return s_ ? s_->id() : 0; }
+  Machine& machine() const { return store().machine(); }
 
   /// Number of elements in block `bi` (the last block may be partial).
   std::size_t block_elems(std::uint64_t bi) const {
-    check_block(bi);
-    const std::size_t B = mach_->B();
-    const std::size_t begin = static_cast<std::size_t>(bi) * B;
-    return std::min(B, data_.size() - begin);
+    return store().block_elems(bi);
   }
 
   /// Reads block `bi` into `dst` (which must hold >= block_elems(bi)
@@ -137,35 +71,8 @@ class ExtArray : private BlockCache::Sink {
   /// read per checksum-triggered retry.  A block-cache hit charges nothing;
   /// a miss is adopted into the pool after its device read.
   BlockIo read_block(std::uint64_t bi, std::span<T> dst) const {
-    const std::size_t count = block_elems(bi);
-    if (dst.size() < count)
-      throw std::invalid_argument("read_block: destination too small");
-    T* base = native(bi);
-    BlockCache* bc = mach_->cache();
-    if (bc != nullptr && bc->find_read(id_, bi)) {
-      for (std::size_t i = 0; i < count; ++i) dst[i] = base[i];
-      return BlockIo{count, IoTicket{}};  // pool hit: no device I/O
-    }
-    FaultPolicy* fp = mach_->faults();
-    const bool faulty = fp != nullptr && fp->injects_faults();
-    BlockIo io;
-    if (faulty) {
-      io = faulty_read(*fp, bi, dst, count);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) dst[i] = base[i];
-      io = BlockIo{count, mach_->on_read(id_, bi)};
-    }
-    if (bc != nullptr) {
-      // The delivered (checksum-verified) copy becomes the pool frame; for
-      // a remapped block the native region held stale pre-remap bytes.
-      if (faulty)
-        for (std::size_t i = 0; i < count; ++i) base[i] = dst[i];
-      // May evict (and write back) a victim; on a write-back exception the
-      // read stands — delivered and charged — and the block is just not
-      // cached.
-      bc->insert(id_, bi, /*dirty=*/false, const_cast<ExtArray*>(this));
-    }
-    return io;
+    return store().read_block(bi, reinterpret_cast<std::byte*>(dst.data()),
+                              dst.size());
   }
 
   /// Overwrites block `bi` with `src` (which must hold exactly
@@ -175,371 +82,97 @@ class ExtArray : private BlockCache::Sink {
   /// the resident block; the (single) device write is charged at eviction
   /// or flush, however many times the block was rewritten meanwhile.
   BlockIo write_block(std::uint64_t bi, std::span<const T> src) {
-    const std::size_t count = block_elems(bi);
-    if (src.size() != count)
-      throw std::invalid_argument("write_block: source size mismatch");
-    if (BlockCache* bc = mach_->cache()) {
-      // A miss write-allocates without fetching: the whole block is
-      // overwritten, so no device read is needed and no device write
-      // happens yet.  Insert first — if the eviction's write-back throws,
-      // the stored data is untouched.
-      if (!bc->find_write(id_, bi)) bc->insert(id_, bi, /*dirty=*/true, this);
-      T* base = native(bi);
-      for (std::size_t i = 0; i < count; ++i) base[i] = src[i];
-      return BlockIo{count, IoTicket{}};
-    }
-    FaultPolicy* fp = mach_->faults();
-    if (fp != nullptr && fp->injects_faults())
-      return faulty_write(*fp, bi, src, count);
-    T* base = native(bi);
-    for (std::size_t i = 0; i < count; ++i) base[i] = src[i];
-    IoTicket t = mach_->on_write(id_, bi);
-    annotate_atoms(t, src, count);
-    return BlockIo{count, t};
+    return store().write_block(
+        bi, reinterpret_cast<const std::byte*>(src.data()), src.size());
   }
 
   /// Grows the array to `elems` elements (new space default-initialized).
   /// Free in the model: this only reserves external address space.
   void grow_to(std::size_t elems) {
-    if (elems <= data_.size()) return;
-    const std::size_t old_blocks = blocks();
-    data_.resize(elems);
-    if (mach_ != nullptr) blocks_ = mach_->n_of(elems);
-    if (rec_ != nullptr) {
-      if (!rec_->remap.empty() && blocks() > rec_->spare_base)
-        throw std::logic_error(
-            "ExtArray::grow_to: cannot grow past the spare region after "
-            "blocks were remapped");
-      if (rec_->remap.empty()) rec_->spare_base = blocks();
-      // Re-stamp from the previously-last block: growth turns a partial
-      // block into a full one (its checksum changes) and appends fresh
-      // default-initialized blocks.
-      refresh_block_meta(old_blocks == 0 ? 0 : old_blocks - 1);
-    }
+    Store& s = store();
+    if (elems <= s.data.size()) return;
+    s.data.resize(elems);
+    s.resized(reinterpret_cast<std::byte*>(s.data.data()), elems);
   }
 
   /// Registers an atom-id extractor used to annotate traced writes
   /// (Lemma 4.3 machinery).  Pass nullptr to disable.
   void set_atom_extractor(std::function<std::uint64_t(const T&)> fn) {
-    atom_of_ = std::move(fn);
+    Store& s = store();
+    s.atom_of = std::move(fn);
+    s.set_atom_hook(s.atom_of ? &Store::atoms : nullptr);
   }
 
-  bool has_atom_extractor() const { return static_cast<bool>(atom_of_); }
+  bool has_atom_extractor() const { return s_ && s_->atom_of; }
   const std::function<std::uint64_t(const T&)>& atom_extractor() const {
-    return atom_of_;
+    static const std::function<std::uint64_t(const T&)> kNone;
+    return s_ ? s_->atom_of : kNone;
   }
   /// Atom id of a value under this array's extractor (which must be set).
-  std::uint64_t atom_id(const T& v) const { return atom_of_(v); }
+  std::uint64_t atom_id(const T& v) const { return store().atom_of(v); }
 
   /// Debug/verification access to the raw contents.  NOT charged — only for
   /// test assertions and host-side conformation metadata, never inside a
   /// measured algorithm.  Under fault injection this is the *native* block
   /// region; remapped blocks live in the spare region, so measured reads
   /// remain the one honest access path.
-  const std::vector<T>& unsafe_host_view() const { return data_; }
+  const std::vector<T>& unsafe_host_view() const {
+    static const std::vector<T> kEmpty;
+    return s_ ? s_->data : kEmpty;
+  }
 
   /// Uncharged bulk initialization, used to stage problem inputs before a
   /// measured run begins (the input's presence in external memory is the
   /// problem statement, not part of the algorithm's cost).  Restaging drops
   /// any cached blocks of this array (uncharged — it replaces them).
   void unsafe_host_fill(std::span<const T> src) {
-    if (src.size() != data_.size())
+    if (src.size() != size())
       throw std::invalid_argument("unsafe_host_fill: size mismatch");
-    drop_cache_entries();
-    for (std::size_t i = 0; i < src.size(); ++i) data_[i] = src[i];
-    if (rec_ != nullptr) refresh_block_meta(0);
+    if (s_) s_->host_fill(reinterpret_cast<const std::byte*>(src.data()));
   }
 
   // --- fault-injection observability --------------------------------------
   /// Logical blocks currently redirected to spares (0 when no faults).
   std::size_t remapped_blocks() const {
-    return rec_ == nullptr ? 0 : rec_->remap.active();
+    return s_ ? s_->remapped_blocks() : 0;
   }
-  std::size_t spares_used() const {
-    return rec_ == nullptr ? 0 : rec_->remap.spares_used();
-  }
+  std::size_t spares_used() const { return s_ ? s_->spares_used() : 0; }
 
  private:
-  /// Per-array device-side recovery state, created lazily on the first
-  /// transfer under an installed FaultPolicy.
-  struct Recovery {
-    explicit Recovery(std::size_t spare_capacity) : remap(spare_capacity) {}
-    RemapTable remap;
-    std::vector<T> spare;         // spare-block storage, B elements per slot
-    std::size_t spare_base = 0;   // physical id of spare slot 0
-    std::vector<std::uint64_t> sums;   // per-logical-block checksums
-    std::vector<std::uint8_t> dirty;   // fallback: known-corrupt blocks
+  /// The store plus its typed state: the native region as a std::vector<T>
+  /// (which unsafe_host_view() hands out) and the atom extractor behind the
+  /// store's untyped atom hook.
+  struct Store final : BlockStore {
+    Store(Machine& mach, std::size_t elems, std::string name)
+        : BlockStore(mach, std::move(name), sizeof(T),
+                     std::has_unique_object_representations_v<T>),
+          data(elems) {
+      resized(reinterpret_cast<std::byte*>(data.data()), elems);
+    }
+
+    static void atoms(const BlockStore& store, const std::byte* src,
+                      std::size_t count, std::uint64_t* out) {
+      const auto& atom_of = static_cast<const Store&>(store).atom_of;
+      for (std::size_t i = 0; i < count; ++i) {
+        T v;
+        std::memcpy(&v, src + i * sizeof(T), sizeof(T));
+        out[i] = atom_of(v);
+      }
+    }
+
+    std::vector<T> data;
+    std::function<std::uint64_t(const T&)> atom_of;
   };
 
-  /// Physical location backing logical block `bi`: the charge id the
-  /// machine sees and the storage the data actually lives in.
-  struct PhysLoc {
-    std::uint64_t charge;
-    T* data;
-  };
-
-  void check_attached() const {
-    if (mach_ == nullptr)
+  Store& store() const {
+    if (!s_)
       throw std::logic_error(
           "ExtArray: no machine attached (default-constructed or moved-from "
           "array)");
+    return *s_;
   }
 
-  void check_block(std::uint64_t bi) const {
-    check_attached();
-    if (bi >= blocks_)
-      throw std::out_of_range("ExtArray: block index " + std::to_string(bi) +
-                              " out of range (array has " +
-                              std::to_string(blocks_) + " blocks)");
-  }
-
-  void annotate_atoms(IoTicket t, std::span<const T> src, std::size_t count) {
-    if (t.valid() && atom_of_) {
-      std::vector<std::uint64_t> atoms(count);
-      for (std::size_t i = 0; i < count; ++i) atoms[i] = atom_of_(src[i]);
-      mach_->trace()->set_atoms(t, std::move(atoms));
-    }
-  }
-
-  // --- block-cache plumbing ------------------------------------------------
-  // The cached bytes live in the NATIVE region of data_ (the pool's RAM
-  // copy); the cache itself holds only metadata.  Invariant: while a block
-  // is resident, data_'s native region holds its current contents — reads
-  // copy delivered (verified) data there on insertion, writes store their
-  // payload there, and write-backs read it back out.  For remapped blocks
-  // the device copy lives in the spare region, so the native region is
-  // exactly the pool frame.
-
-  T* native(std::uint64_t bi) const {
-    return const_cast<T*>(data_.data()) +
-           static_cast<std::size_t>(bi) * mach_->B();
-  }
-
-  void drop_cache_entries() {
-    if (mach_ == nullptr) return;
-    if (BlockCache* bc = mach_->cache()) bc->invalidate_array(id_);
-  }
-
-  void repoint_cache_sink() {
-    if (mach_ == nullptr) return;
-    if (BlockCache* bc = mach_->cache()) bc->move_sink(id_, this);
-  }
-
-  /// BlockCache::Sink: push dirty pool frames back to the device through
-  /// the normal charged write path (including fault injection / recovery /
-  /// remap when a policy is installed).  With no policy at all the payloads
-  /// already sit in the native region and no per-block throw can strand a
-  /// partial run, so the run is charged as ONE Machine::submit — unless a
-  /// traced write needs its ticket for atom annotation.
-  void write_back(std::span<const std::uint64_t> blocks,
-                  std::size_t& done) override {
-    FaultPolicy* fp = mach_->faults();
-    if (fp == nullptr && !(atom_of_ && mach_->tracing())) {
-      batch_ops_.clear();
-      for (const std::uint64_t bi : blocks)
-        batch_ops_.push_back(BlockOp{OpKind::kWrite, id_, bi});
-      mach_->submit(batch_ops_);
-      done = blocks.size();
-      return;
-    }
-    for (const std::uint64_t bi : blocks) {
-      const std::span<const T> frame(native(bi), block_elems(bi));
-      if (fp != nullptr && fp->injects_faults()) {
-        // The faulty write path mutates the located device region in
-        // place, so stage the payload out of the (aliasing) native region.
-        const std::vector<T> tmp(frame.begin(), frame.end());
-        faulty_write(*fp, bi, std::span<const T>(tmp), tmp.size());
-      } else {
-        annotate_atoms(mach_->on_write(id_, bi), frame, frame.size());
-      }
-      ++done;
-    }
-  }
-
-  Recovery& recovery(const FaultPolicy& fp) const {
-    if (rec_ == nullptr) {
-      rec_ = std::make_unique<Recovery>(fp.config().spare_blocks);
-      rec_->spare_base = blocks();
-      refresh_block_meta(0);
-    }
-    return *rec_;
-  }
-
-  /// (Re)computes checksum / dirty metadata for blocks [first, blocks()).
-  /// Host-side bookkeeping of the device's ECC metadata — uncharged.
-  void refresh_block_meta(std::size_t first) const {
-    const std::size_t n = blocks();
-    if constexpr (kChecksummable) {
-      rec_->sums.resize(n);
-      const std::size_t B = mach_->B();
-      for (std::size_t bi = first; bi < n; ++bi) {
-        const std::size_t begin = bi * B;
-        const std::size_t count = std::min(B, data_.size() - begin);
-        rec_->sums[bi] =
-            fault_checksum(data_.data() + begin, count * sizeof(T));
-      }
-    } else {
-      rec_->dirty.assign(n, 0);
-    }
-  }
-
-  PhysLoc locate(std::uint64_t bi) const {
-    if (rec_ != nullptr && !rec_->remap.empty()) {
-      const std::uint64_t slot = rec_->remap.slot_of(bi);
-      if (slot != RemapTable::npos)
-        return PhysLoc{rec_->spare_base + slot,
-                       rec_->spare.data() +
-                           static_cast<std::size_t>(slot) * mach_->B()};
-    }
-    return PhysLoc{bi, const_cast<T*>(data_.data()) +
-                           static_cast<std::size_t>(bi) * mach_->B()};
-  }
-
-  /// Flips one byte of the block's object representation (the simulated bit
-  /// rot).  The mask is drawn from the fault schedule, so corruption is as
-  /// reproducible as the faults themselves.
-  static void corrupt(T* elems, std::size_t count, std::uint64_t r) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "fault injection requires trivially copyable elements");
-    auto* bytes = reinterpret_cast<unsigned char*>(elems);
-    const std::size_t nbytes = count * sizeof(T);
-    bytes[r % nbytes] ^=
-        static_cast<unsigned char>(1 | ((r >> 8) & 0xff));
-  }
-
-  /// True if the delivered copy in `dst` passes the device's read check.
-  bool delivered_clean(const Recovery& rec, std::uint64_t bi, const T* dst,
-                       std::size_t count, bool injected_corrupt) const {
-    if constexpr (kChecksummable) {
-      (void)injected_corrupt;  // the checksum catches it for real
-      return fault_checksum(dst, count * sizeof(T)) == rec.sums[bi];
-    } else {
-      return !injected_corrupt && rec.dirty[bi] == 0;
-    }
-  }
-
-  /// Deterministic backoff before retry `attempt` (RetryPolicy::backoff,
-  /// 1-based): each poll is one charged read through the normal machine
-  /// path — waiting out a flaky device costs real I/O time.  With
-  /// backoff_base 0 (the default) this is a no-op and retry charges stay
-  /// byte-identical to the pre-reliability-layer library.
-  void charge_backoff(FaultPolicy& fp, const RetryPolicy& retry,
-                      std::uint64_t charge_block, std::size_t attempt) const {
-    const std::uint64_t polls = retry.backoff(attempt);
-    if (polls == 0) return;
-    fp.note_backoff(polls);
-    for (std::uint64_t i = 0; i < polls; ++i) mach_->on_read(id_, charge_block);
-  }
-
-  BlockIo faulty_read(FaultPolicy& fp, std::uint64_t bi, std::span<T> dst,
-                      std::size_t count) const {
-    const Recovery& rec = recovery(fp);
-    const RetryPolicy retry = fp.retry();
-    std::size_t attempt = 0;
-    for (;;) {
-      const PhysLoc loc = locate(bi);
-      const IoTicket t = mach_->on_read(id_, loc.charge);
-      for (std::size_t i = 0; i < count; ++i) dst[i] = loc.data[i];
-      bool injected = false;
-      if (fp.draw_read_fault()) {
-        corrupt(dst.data(), count, fp.draw_u64());
-        injected = true;
-      }
-      if (!fp.config().checksum_reads ||
-          delivered_clean(rec, bi, dst.data(), count, injected))
-        return BlockIo{count, t};
-      fp.note_checksum_failure();
-      if (retry.exhausted(attempt))
-        throw FaultError(/*is_write=*/false, id_, bi, attempt + 1,
-                         "checksum mismatch persists (stored block corrupt "
-                         "or fault rate too high for the retry budget)");
-      ++attempt;
-      fp.note_read_retry();
-      charge_backoff(fp, retry, loc.charge, attempt);
-    }
-  }
-
-  BlockIo faulty_write(FaultPolicy& fp, std::uint64_t bi,
-                       std::span<const T> src, std::size_t count) {
-    Recovery& rec = recovery(fp);
-    const std::size_t B = mach_->B();
-    const RetryPolicy retry = fp.retry();
-    std::size_t attempt = 0;  // failures on the current physical block
-    for (;;) {
-      const PhysLoc loc = locate(bi);
-      const IoTicket t = mach_->on_write(id_, loc.charge);
-      annotate_atoms(t, src, count);
-      const bool on_retired = fp.record_write(id_, loc.charge);
-      const FaultKind fault =
-          on_retired ? FaultKind::kRetiredBlock : fp.draw_write_fault();
-
-      // Apply the attempt to the stored bytes.
-      bool stored_ok = false;
-      switch (fault) {
-        case FaultKind::kNone:
-          for (std::size_t i = 0; i < count; ++i) loc.data[i] = src[i];
-          stored_ok = true;
-          break;
-        case FaultKind::kSilentWrite:
-          for (std::size_t i = 0; i < count; ++i) loc.data[i] = src[i];
-          corrupt(loc.data, count, fp.draw_u64());
-          break;
-        case FaultKind::kTornWrite: {
-          // Only a prefix persists; the tail keeps its old contents.
-          const std::size_t torn = fp.draw_u64() % count;
-          for (std::size_t i = 0; i < torn; ++i) loc.data[i] = src[i];
-          break;
-        }
-        default:  // kRetiredBlock: the write does not take at all
-          break;
-      }
-      // Device ECC metadata is computed from the *intended* payload, so a
-      // later read of a corrupt block fails its check.
-      if constexpr (kChecksummable) {
-        rec.sums[bi] = fault_checksum(src.data(), count * sizeof(T));
-      } else {
-        rec.dirty[bi] = stored_ok ? 0 : 1;
-      }
-
-      if (!fp.config().verify_writes) return BlockIo{count, t};
-
-      // Verify-after-write: one charged read-back, itself subject to
-      // transient read faults.
-      mach_->on_read(id_, loc.charge);
-      const bool readback_corrupt = fp.draw_read_fault();
-      if (stored_ok && !readback_corrupt) return BlockIo{count, t};
-      fp.note_verify_failure();
-
-      if (fp.retired(id_, loc.charge)) {
-        // Permanent failure: migrate this logical block to a spare and
-        // retry there with a fresh retry budget.
-        const std::uint64_t slot = rec.remap.remap(bi);
-        rec.spare.resize((static_cast<std::size_t>(slot) + 1) * B);
-        fp.note_remap();
-        attempt = 0;
-        continue;
-      }
-      if (retry.exhausted(attempt))
-        throw FaultError(/*is_write=*/true, id_, bi, attempt + 1,
-                         "verify-after-write keeps failing (fault rate too "
-                         "high for the retry budget)");
-      ++attempt;
-      fp.note_write_retry();
-      charge_backoff(fp, retry, loc.charge, attempt);
-    }
-  }
-
-  Machine* mach_ = nullptr;
-  std::uint32_t id_ = 0;
-  std::vector<T> data_;
-  // Block count of data_, kept in step with its size so the per-transfer
-  // bounds check compares instead of dividing.
-  std::size_t blocks_ = 0;
-  std::function<std::uint64_t(const T&)> atom_of_;
-  // Mutable: reads must be able to lazily create recovery state and retry.
-  mutable std::unique_ptr<Recovery> rec_;
-  // Scratch for write_back's one-submit run (reused across flushes).
-  std::vector<BlockOp> batch_ops_;
+  std::unique_ptr<Store> s_;
 };
 
 /// An internal-memory allocation of `elems` elements, registered with the

@@ -22,9 +22,9 @@
 // an identical (seed, config, program) triple reproduces the exact same
 // fault schedule bit for bit — fault runs are as replayable as clean ones.
 //
-// The policy itself only *decides*; data corruption happens in ExtArray
-// (core/ext_array.hpp), which owns the stored bytes, and the recovery layer
-// there (checksums, verify-after-write, bounded retry, remap to spares)
+// The policy itself only *decides*; data corruption happens in BlockStore
+// (core/block_store.hpp), which owns the stored bytes, and the recovery
+// layer there (checksums, verify-after-write, bounded retry, remap to spares)
 // charges every retry through the normal Machine accounting path, so the
 // omega-weighted price of robustness shows up in Q like any other I/O.
 #pragma once
@@ -115,7 +115,7 @@ struct FaultConfig {
 };
 
 /// Bounded-retry / deterministic-backoff schedule shared by every retry
-/// loop in the library (ExtArray read checksums and verify-after-write,
+/// loop in the library (BlockStore read checksums and verify-after-write,
 /// BlockCache flush write-backs — both derive theirs from
 /// FaultPolicy::retry() — and ShardedMachine outage waits).  Attempt
 /// numbering: the initial try is attempt 0; retry k (1-based) is preceded
@@ -208,7 +208,7 @@ class BudgetExceeded : public std::runtime_error {
 /// loses power after exactly `after_writes()` charged writes.  Host-side
 /// state of the interrupted computation must be considered lost; external
 /// state persists only up to the crash discipline of the writing layer
-/// (KvStore's manifest, ExtArray checksums).  The machine's counters stay
+/// (KvStore's manifest, BlockStore checksums).  The machine's counters stay
 /// valid and include the cut write.
 class CrashError : public std::runtime_error {
  public:
@@ -248,7 +248,7 @@ class FaultError : public std::runtime_error {
 std::uint64_t fault_checksum(const void* data, std::size_t bytes);
 
 /// The seed-driven fault schedule plus endurance bookkeeping.  Installed on
-/// a Machine (Machine::install_faults); consulted by ExtArray on every
+/// a Machine (Machine::install_faults); consulted by BlockStore on every
 /// block transfer.  Decisions are drawn from a counter-based stream, so the
 /// schedule is a pure function of (seed, sequence of draws).
 class FaultPolicy {
@@ -265,7 +265,7 @@ class FaultPolicy {
   /// True if any fault kind can actually fire (rates or endurance set).
   /// False for a pure budget-watchdog policy.  A crash-only schedule does
   /// NOT count: a power cut interrupts the program but never corrupts a
-  /// completed transfer, so it must not switch ExtArray onto the
+  /// completed transfer, so it must not switch BlockStore onto the
   /// checksummed path (whose extra verify charges would break the
   /// crash-unarmed byte-identity guarantee).
   bool injects_faults() const {
@@ -275,7 +275,7 @@ class FaultPolicy {
   bool has_ceiling() const { return cfg_.max_cost != 0 || cfg_.max_ios != 0; }
 
   /// The retry/backoff schedule every recovery loop on this machine obeys
-  /// (ExtArray read/write retries, cache flush write-backs).
+  /// (BlockStore read/write retries, cache flush write-backs).
   RetryPolicy retry() const {
     return RetryPolicy{cfg_.max_retries, cfg_.retry_backoff_base,
                        cfg_.retry_backoff_cap};
@@ -301,7 +301,7 @@ class FaultPolicy {
   /// Lifetime write count of a physical block.
   std::uint64_t lifetime_writes(std::uint32_t array, std::uint64_t block) const;
 
-  // --- recovery counters (bumped by ExtArray's recovery layer) ------------
+  // --- recovery counters (bumped by BlockStore's recovery layer) ---------
   void note_read_retry() { ++stats_.read_retries; }
   void note_write_retry() { ++stats_.write_retries; }
   void note_verify_failure() { ++stats_.verify_failures; }

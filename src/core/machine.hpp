@@ -1,8 +1,9 @@
 // The (M,B,omega)-AEM machine: cost accounting, capacity enforcement,
 // phase attribution, and optional trace recording.
 //
-// The machine itself stores no data — external arrays (core/ext_array.hpp)
-// own their storage and report every block transfer here.  This keeps the
+// The machine itself stores no data — each external array's BlockStore
+// (core/block_store.hpp) owns its storage and reports every block transfer
+// here.  This keeps the
 // machine non-templated while arrays are typed.
 //
 // Hot-path design: submit() runs once per simulated block transfer (or
@@ -184,7 +185,7 @@ class Machine {
   /// Detaches and returns the recorded trace, disabling tracing.
   std::unique_ptr<Trace> take_trace();
 
-  // --- hooks used by ExtArray ----------------------------------------------
+  // --- hooks used by BlockStore -------------------------------------------
   /// Registers an array; the returned id appears in traces and diagnostics.
   /// Virtual (with submit/reset_stats) so core/sharding's ShardedMachine can
   /// mirror the call onto its member devices; the overhead on the plain

@@ -1,7 +1,7 @@
 // Wear-leveling remap table: logical block -> spare physical block.
 //
 // When a FaultPolicy retires a physical block (its lifetime write count
-// exceeded the endurance budget), the owning ExtArray migrates the logical
+// exceeded the endurance budget), the owning BlockStore migrates the logical
 // block to a spare from a fixed per-array pool and records the redirection
 // here.  Subsequent reads and writes of the logical block transparently hit
 // the spare — algorithms never see the migration, only the extra charged

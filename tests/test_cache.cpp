@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/cache.hpp"
@@ -349,6 +351,64 @@ TEST(CachedMachineTest, MovedArrayKeepsCacheWorking) {
   std::vector<int> back(8);
   b.read_block(3, std::span<int>(back));
   EXPECT_EQ(back[0], 7);
+}
+
+TEST(CachedMachineTest, MoveAssignDropsTargetFramesAndFlushesSourceFrames) {
+  Machine mach(cached_cfg(64, 8, 4, 4));
+  ExtArray<int> a(mach, 32, "a");
+  ExtArray<int> b(mach, 32, "b");
+  const std::vector<int> sevens(8, 7);
+  const std::vector<int> nines(8, 9);
+  a.write_block(0, std::span<const int>(sevens));
+  a.write_block(1, std::span<const int>(sevens));
+  b.write_block(2, std::span<const int>(nines));
+  ASSERT_EQ(mach.cache()->resident_dirty(), 3u);
+
+  // The target's storage is replaced: its two dirty frames are dropped
+  // without a charge and counted as invalidated.
+  a = std::move(b);
+  EXPECT_EQ(mach.stats().writes, 0u);
+  EXPECT_EQ(mach.cache()->stats().invalidated_dirty, 2u);
+  EXPECT_EQ(mach.cache()->resident_dirty(), 1u);
+
+  // The source's dirty frame now belongs to `a`: the flush writes it back
+  // (one charged write) into a's storage.
+  EXPECT_EQ(mach.flush_cache(), 1u);
+  EXPECT_EQ(mach.stats().writes, 1u);
+  EXPECT_EQ(a.unsafe_host_view()[16], 9);
+  std::vector<int> back(8);
+  a.read_block(2, std::span<int>(back));
+  EXPECT_EQ(back, nines);
+  EXPECT_EQ(mach.stats().reads, 0u);  // a pool hit
+  EXPECT_THROW(b.read_block(0, std::span<int>(back)), std::logic_error);
+}
+
+TEST(CacheFaultTest, RemappedBlockStaysReadableAcrossMoves) {
+  Machine mach(cfg(64, 8, 2));
+  FaultConfig fc;
+  fc.endurance = 2;
+  fc.spare_blocks = 4;
+  mach.install_faults(fc);
+  ExtArray<std::uint64_t> a(mach, 24, "a");
+  std::vector<std::uint64_t> payload(8);
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    for (std::size_t i = 0; i < 8; ++i) payload[i] = round * 100 + i;
+    a.write_block(0, std::span<const std::uint64_t>(payload));
+  }
+  ASSERT_EQ(a.remapped_blocks(), 1u);
+
+  std::vector<std::uint64_t> got(8);
+  ExtArray<std::uint64_t> b(std::move(a));
+  EXPECT_EQ(b.remapped_blocks(), 1u);
+  b.read_block(0, std::span<std::uint64_t>(got));
+  EXPECT_EQ(got, payload);  // served from the spare, not the stale native
+
+  ExtArray<std::uint64_t> c(mach, 8, "c");
+  c = std::move(b);
+  EXPECT_EQ(c.remapped_blocks(), 1u);
+  EXPECT_EQ(c.spares_used(), a.spares_used() + 1);  // moved-from reports 0
+  c.read_block(0, std::span<std::uint64_t>(got));
+  EXPECT_EQ(got, payload);
 }
 
 TEST(CachedMachineTest, DestructionDropsDirtyBlocksUncharged) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <span>
@@ -464,6 +465,159 @@ TEST(DurableBuildTest, CrashAndRecoverAcrossCrashPoints) {
   }
   std::cout << "[ crash sweep ] " << points << " crash points recovered\n";
   EXPECT_TRUE(saw_resume) << "no crash point exercised a mid-layout resume";
+}
+
+TEST(DurableBuildTest, CachedBuildChargesArePinned) {
+  // Under a cache, dirty pool frames alias the device bytes, so a simulated
+  // crash never loses one and the crash sweep above cannot see a durable
+  // build that skips its pre-commit flush.  The per-phase charges can: they
+  // are pinned here for every index flavor x cache policy.
+  const Workload w = make_workload(512, 23);
+  struct Case {
+    IndexKind kind;
+    CachePolicy policy;
+    const char* expect;
+  };
+  // Construction I/O is index-flavor-invariant; the policies differ only
+  // in when the layout's dirty frames are written back.
+  const char* lru =
+      "em_sort.runs=32/24 store.build.layout=299/125 store.build.sort=32/24 "
+      "build_writes=163 commits=9";
+  const char* clean_first =
+      "em_sort.runs=32/24 store.build.layout=299/121 store.build.sort=32/24 "
+      "build_writes=163 commits=9";
+  const Case cases[] = {
+      {IndexKind::kFence, CachePolicy::kLru, lru},
+      {IndexKind::kFence, CachePolicy::kCleanFirst, clean_first},
+      {IndexKind::kCompact, CachePolicy::kLru, lru},
+      {IndexKind::kCompact, CachePolicy::kCleanFirst, clean_first},
+  };
+  for (const Case& k : cases) {
+    Config c = cfg(4096, 16, 8);
+    c.cache.capacity_blocks = 8;
+    c.cache.policy = k.policy;
+    Machine mach(c);
+    auto [slots, payload] = stage(mach, w);
+    KvStore kv(mach, StoreConfig{k.kind, 8, /*manifest_interval=*/4});
+    kv.build(slots, payload);
+    std::string got;
+    for (const auto& [name, io] : mach.phase_stats())
+      got += name + "=" + std::to_string(io.reads) + "/" +
+             std::to_string(io.writes) + " ";
+    got += "build_writes=" + std::to_string(kv.build_writes()) +
+           " commits=" + std::to_string(kv.manifest_commits());
+    EXPECT_EQ(got, k.expect) << to_string(k.kind) << " " << to_string(k.policy);
+  }
+}
+
+// --- crashes during serving-time puts --------------------------------------
+
+/// A plain machine that records, at every charged write of `log`, the log's
+/// bytes and the store's counters — the state a power cut at that write
+/// leaves behind (docs/MODEL.md section 15).
+class PutSnapshots : public Machine {
+ public:
+  using Machine::Machine;
+  using Machine::submit;
+  void submit(std::span<const BlockOp> ops,
+              std::span<IoTicket> tickets) override {
+    Machine::submit(ops, tickets);
+    for (const BlockOp& op : ops)
+      if (kv != nullptr && op.kind == OpKind::kWrite &&
+          op.array == kv->log_array().id()) {
+        logs.push_back(kv->log_array().unsafe_host_view());
+        stats.push_back(kv->stats());
+      }
+  }
+  const KvStore* kv = nullptr;
+  std::vector<std::vector<Slot>> logs;
+  std::vector<store::StoreStats> stats;
+};
+
+/// get() answered from a log image and the (put-invariant) payload area.
+std::optional<std::vector<std::uint64_t>> get_from(
+    const std::vector<Slot>& log, const std::vector<std::uint64_t>& payload,
+    std::uint64_t key) {
+  const auto it = std::upper_bound(
+      log.begin(), log.end(), key,
+      [](std::uint64_t k, const Slot& s) { return k < s.key; });
+  if (it == log.begin() || std::prev(it)->key != key) return std::nullopt;
+  const Slot& s = *std::prev(it);
+  if (s.len == 0) return std::vector<std::uint64_t>{};
+  if (s.len == 1) return std::vector<std::uint64_t>{s.pos};
+  return std::vector<std::uint64_t>(payload.begin() + s.pos,
+                                    payload.begin() + s.pos + s.len);
+}
+
+TEST(ServingCrashTest, PutStreamCutAtEveryWriteMatchesReference) {
+  // A power cut at EVERY charged page write of a fixed put stream, under
+  // both index flavors, through put_inline and put_inline_batch of 8.
+  const Workload w = make_workload(512, 31);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> stream;
+  util::Rng rng(77);
+  for (int i = 0; i < 96; ++i) {
+    const std::uint64_t key = w.slots[rng.below(w.slots.size())].key;
+    stream.emplace_back(i % 5 == 0 ? key ^ 1 : key, rng.next());  // 1/5 miss
+  }
+  const StoreConfig plain_cfg[] = {{IndexKind::kFence, 8, 0},
+                                   {IndexKind::kCompact, 8, 0}};
+  std::size_t points = 0;
+  for (const StoreConfig& sc : plain_cfg) {
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
+      const auto run = [&](KvStore& kv) {
+        for (std::size_t i = 0; i < stream.size(); i += batch) {
+          const std::span<const std::pair<std::uint64_t, std::uint64_t>> ops(
+              stream.data() + i, std::min(batch, stream.size() - i));
+          if (batch == 1)
+            kv.put_inline(ops[0].first, ops[0].second);
+          else
+            kv.put_inline_batch(ops);
+        }
+      };
+
+      PutSnapshots ref_mach(cfg(4096, 16, 8));
+      auto [rs, rp] = stage(ref_mach, w);
+      KvStore ref(ref_mach, sc);
+      ref.build(rs, rp);
+      ref_mach.kv = &ref;
+      run(ref);
+      const std::size_t total = ref_mach.logs.size();
+      ASSERT_GT(total, batch == 1 ? 60u : 30u);
+
+      for (std::size_t cut = 1; cut <= total; ++cut) {
+        SCOPED_TRACE(std::string(to_string(sc.index)) +
+                     " batch=" + std::to_string(batch) +
+                     " cut=" + std::to_string(cut));
+        Machine mach(cfg(4096, 16, 8));
+        auto [slots, payload] = stage(mach, w);
+        KvStore kv(mach, sc);
+        kv.build(slots, payload);
+        const std::size_t resting = mach.ledger().used();
+        const std::uint64_t built = mach.stats().writes;
+        FaultConfig fc;
+        fc.crash_after_writes = built + cut;
+        mach.install_faults(fc);
+        EXPECT_THROW(run(kv), CrashError);
+        ++points;
+
+        // The cut write was charged and landed; nothing after it ran.
+        EXPECT_EQ(mach.stats().writes, built + cut);
+        EXPECT_EQ(kv.log_array().unsafe_host_view(), ref_mach.logs[cut - 1]);
+        EXPECT_EQ(kv.stats(), ref_mach.stats[cut - 1]);
+        EXPECT_EQ(kv.stats().put_writes, cut - 1);
+        EXPECT_EQ(mach.ledger().used(), resting);
+        for (const auto& [key, value] : stream) {
+          (void)value;
+          EXPECT_EQ(kv.get(key), get_from(ref_mach.logs[cut - 1],
+                                          kv.payload_array().unsafe_host_view(),
+                                          key));
+        }
+        if (::testing::Test::HasFailure()) return;  // one failing point is enough
+      }
+    }
+  }
+  std::cout << "[ serving crash sweep ] " << points
+            << " put crash points checked\n";
 }
 
 TEST(DurableBuildTest, RecoverMisuseThrowsDescriptively) {

@@ -26,6 +26,11 @@
 //  * merge-kernel speedup — em_merge_group with the loser-tree selection
 //    kernel vs the reference O(k) scan at k in {4, 16, 64, 256}; guard:
 //    >= --min-kernel-speedup (default 2x) at k >= 64;
+//  * clean-first eviction scaling — ns per eviction of a bare BlockCache
+//    whose omega-derived window is all dirty (every victim search finds
+//    no clean frame) at capacity 256 and 4096; guard: the 4096/256 ratio
+//    <= --max-evict-scaling (default 4).  A scan of the window would
+//    scale with it (240 -> 3840 frames, 16x);
 //  * parallel-sweep speedup — a fixed grid of mergesort machines through
 //    harness::run_sweep at --jobs=1 vs --jobs=N; guard:
 //    >= --min-sweep-speedup, default 0 (report-only) because the measured
@@ -36,11 +41,13 @@
 #include <chrono>
 #include <iostream>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/cache.hpp"
 #include "core/sharding.hpp"
 #include "sort/em_mergesort.hpp"
 #include "sort/mergesort.hpp"
@@ -157,6 +164,7 @@ int main(int argc, char** argv) try {
   const double min_kernel_speedup = cli.f64("min-kernel-speedup", 2.0);
   const double min_batch_speedup = cli.f64("min-batch-speedup", 2.0);
   const double min_sweep_speedup = cli.f64("min-sweep-speedup", 0.0);
+  const double max_evict_scaling = cli.f64("max-evict-scaling", 4.0);
   const std::uint64_t batch = full ? (1u << 22) : (1u << 20);
 
   banner("M0 (meta)",
@@ -824,6 +832,57 @@ int main(int argc, char** argv) try {
              "(same I/O charge sequence):", csv);
   }
 
+  // --- Clean-first eviction scaling: all-dirty window ---------------------
+  // Every resident block is dirty, so each insert evicts (and writes back
+  // through a no-op sink) the LRU block after a victim search that finds
+  // no clean frame in the window.  At omega = 16 the window is 240 of 256
+  // and 3840 of 4096 frames; the victim choice must not grow with it.
+  bool evict_ok = true;
+  {
+    struct NullSink : BlockCache::Sink {
+      std::uint64_t blocks = 0;
+      void write_back(std::span<const std::uint64_t> b,
+                      std::size_t& done) override {
+        blocks += b.size();
+        done = b.size();
+      }
+    };
+    util::Table vt({"capacity", "window", "evictions", "ns/eviction",
+                    "vs_256"});
+    double ns_256 = 0.0;
+    for (const std::size_t cap : {256u, 4096u}) {
+      CacheConfig cc;
+      cc.capacity_blocks = cap;
+      cc.policy = CachePolicy::kCleanFirst;
+      BlockCache bc(cc, 16);
+      NullSink sink;
+      std::uint64_t next = 0;
+      for (; next < cap; ++next) bc.insert(0, next, /*dirty=*/true, &sink);
+      const Measurement m = measure(
+          [&](std::uint64_t n) {
+            for (std::uint64_t i = 0; i < n; ++i)
+              bc.insert(0, next++, /*dirty=*/true, &sink);
+            keep(sink.blocks);
+          },
+          1u << 14);
+      const double ns = 1e3 / m.mops();
+      if (cap == 256) ns_256 = ns;
+      const double scaling = ns / ns_256;
+      vt.add_row({util::fmt(std::uint64_t(cap)),
+                  util::fmt(std::uint64_t(bc.window())), util::fmt(m.ops),
+                  util::fmt(ns, 1), util::fmt(scaling, 2)});
+      if (scaling > max_evict_scaling) {
+        std::cerr << "FAIL: clean-first eviction at capacity " << cap
+                  << " costs " << util::fmt(scaling, 2)
+                  << "x capacity 256, above the "
+                  << util::fmt(max_evict_scaling, 1) << "x ceiling\n";
+        evict_ok = false;
+      }
+    }
+    emit(vt, "Clean-first eviction with an all-dirty window (omega 16; "
+             "victim choice must not scale with the window):", csv);
+  }
+
   // --- Parallel-sweep wall clock: --jobs=1 vs --jobs=N --------------------
   // A fixed 8-point grid of independent mergesort machines through
   // harness::run_sweep.  The results are byte-identical for any jobs value
@@ -872,7 +931,7 @@ int main(int argc, char** argv) try {
     }
   }
 
-  if (!kernel_ok || !batch_ok) return 1;
+  if (!kernel_ok || !batch_ok || !evict_ok) return 1;
 
   const double speedup = phased_mops / legacy_mops;
   std::cout << "phase-attributed I/O speedup vs seed: " << util::fmt(speedup, 2)

@@ -54,10 +54,35 @@ void BlockCache::list_push_front(std::uint32_t frame) {
   if (head_ != kNil) frames_[head_].prev = frame;
   head_ = frame;
   if (tail_ == kNil) tail_ = frame;
+  if (!f.dirty) clean_push_front(frame);
+  // While the window still covers the whole list, a new head joins it.
+  if (win_size_ < window_) {
+    f.in_win = true;
+    bnd_ = frame;
+    ++win_size_;
+    if (!f.dirty) ++clean_in_win_;
+  }
 }
 
 void BlockCache::list_unlink(std::uint32_t frame) {
   Frame& f = frames_[frame];
+  if (f.in_win) {
+    // Leaving the window: the frame just hotter than the boundary takes
+    // the freed place.  With none (the window is the whole list), the
+    // window shrinks, and loses its boundary if that was this frame.
+    f.in_win = false;
+    if (!f.dirty) --clean_in_win_;
+    const std::uint32_t in = frames_[bnd_].prev;
+    if (in != kNil) {
+      frames_[in].in_win = true;
+      if (!frames_[in].dirty) ++clean_in_win_;
+      bnd_ = in;
+    } else {
+      --win_size_;
+      if (bnd_ == frame) bnd_ = f.next;
+    }
+  }
+  if (!f.dirty) clean_unlink(frame);
   if (f.prev != kNil) {
     frames_[f.prev].next = f.next;
   } else {
@@ -69,6 +94,48 @@ void BlockCache::list_unlink(std::uint32_t frame) {
     tail_ = f.prev;
   }
   f.prev = f.next = kNil;
+}
+
+void BlockCache::clean_push_front(std::uint32_t frame) {
+  Frame& f = frames_[frame];
+  f.clean_prev = kNil;
+  f.clean_next = clean_head_;
+  if (clean_head_ != kNil) frames_[clean_head_].clean_prev = frame;
+  clean_head_ = frame;
+  if (clean_tail_ == kNil) clean_tail_ = frame;
+}
+
+void BlockCache::clean_unlink(std::uint32_t frame) {
+  Frame& f = frames_[frame];
+  if (f.clean_prev != kNil) {
+    frames_[f.clean_prev].clean_next = f.clean_next;
+  } else {
+    clean_head_ = f.clean_next;
+  }
+  if (f.clean_next != kNil) {
+    frames_[f.clean_next].clean_prev = f.clean_prev;
+  } else {
+    clean_tail_ = f.clean_prev;
+  }
+  f.clean_prev = f.clean_next = kNil;
+}
+
+void BlockCache::mark_dirty(std::uint32_t frame) {
+  Frame& f = frames_[frame];
+  clean_unlink(frame);
+  if (f.in_win) --clean_in_win_;
+  f.dirty = true;
+  ++resident_dirty_;
+}
+
+void BlockCache::rebuild_clean_list() {
+  clean_head_ = clean_tail_ = kNil;
+  clean_in_win_ = 0;
+  for (std::uint32_t v = tail_; v != kNil; v = frames_[v].prev) {
+    if (frames_[v].dirty) continue;
+    clean_push_front(v);
+    if (frames_[v].in_win) ++clean_in_win_;
+  }
 }
 
 void BlockCache::touch(std::uint32_t frame) {
@@ -104,20 +171,15 @@ std::uint32_t BlockCache::pick_victim() {
         return static_cast<std::uint32_t>(here);
       }
     }
-    case CachePolicy::kCleanFirst: {
-      // Scan up to window() blocks from the cold end for a clean victim;
-      // a clean eviction costs at most one future read, a dirty one a
-      // certain omega-priced write-back.  No clean block in the window
-      // (or window 0, the omega = 1 degeneration): plain LRU.
-      std::uint32_t f = tail_;
-      for (std::size_t scanned = 0; f != kNil && scanned < window_;
-           ++scanned, f = frames_[f].prev) {
-        if (!frames_[f].dirty) return f;
-      }
-      return tail_;
-    }
+    case CachePolicy::kCleanFirst:
     case CachePolicy::kLru:
-      return tail_;
+      // The coldest clean frame, if the window of coldest frames holds a
+      // clean one: a clean eviction costs at most one future read, a dirty
+      // one a certain omega-priced write-back.  Otherwise (and always for
+      // kLru and the omega = 1 degeneration, whose window is empty) the
+      // LRU frame.  The coldest clean frame is in the window exactly when
+      // any clean frame is, since the window is a cold suffix of the list.
+      return clean_in_win_ > 0 ? clean_tail_ : tail_;
   }
   return tail_;
 }
@@ -140,13 +202,13 @@ void BlockCache::evict_one() {
     ++stats_.write_backs;
     ++stats_.evictions_dirty;
     --resident_dirty_;
-    f.dirty = false;
   } else {
     ++stats_.evictions_clean;
   }
   index_[f.array].erase(f.block);
   list_unlink(v);
   f.valid = false;
+  f.dirty = false;
   f.ref = false;
   --resident_;
   free_.push_back(v);
@@ -183,6 +245,12 @@ std::size_t BlockCache::flush() {
     if (f.valid && f.dirty) dirty_blocks.emplace_back(f.array, f.block);
   std::sort(dirty_blocks.begin(), dirty_blocks.end());
   std::size_t written = 0;
+  // Frames are cleaned in place, without a touch; the clean list is
+  // re-derived once on the way out, normal or exceptional (flush is rare).
+  struct Rebuild {
+    BlockCache* cache;
+    ~Rebuild() { cache->rebuild_clean_list(); }
+  } rebuild{this};
   auto mark_clean = [&](std::uint32_t array, std::uint64_t block) {
     Frame& f = frames_[lookup(array, block)->frame];
     f.dirty = false;

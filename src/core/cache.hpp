@@ -12,12 +12,16 @@
 //  * kClock      — second-chance approximation of LRU (reference bits);
 //  * kCleanFirst — the asymmetry-aware policy (CFLRU-style): evicting a
 //    clean block costs a possible future read (1), evicting a dirty block
-//    costs a certain write (omega) plus the future read, so the policy
-//    scans a window of coldest blocks for a clean victim before giving up
-//    and evicting the true LRU block.  The window is derived from the
-//    machine's omega (capacity - max(1, capacity/omega)), so at omega = 1
-//    the window is empty and the policy degenerates to exact LRU — the
-//    classic EM special case stays classic.
+//    costs a certain write (omega) plus the future read, so the victim is
+//    the coldest clean block among the window of coldest blocks, or the
+//    true LRU block when that window holds no clean block.  The window is
+//    derived from the machine's omega (capacity - max(1, capacity/omega)),
+//    so at omega = 1 the window is empty and the policy degenerates to
+//    exact LRU — the classic EM special case stays classic.  The victim is
+//    found in O(1), not by walking the window: a clean-only recency list
+//    names the coldest clean block, and a window boundary with a count of
+//    the clean blocks inside it says whether that block is in the window.
+//    The choice is the one a scan from the cold end would make.
 //
 // The pool models a device-side buffer (an SSD's DRAM cache, a controller
 // buffer): its capacity does NOT count against the algorithm's internal
@@ -59,7 +63,7 @@ struct CacheConfig {
   CachePolicy policy = CachePolicy::kLru;
 
   /// kCleanFirst only: how many blocks, counted from the cold (LRU) end,
-  /// are scanned for a clean victim before the true LRU block is evicted.
+  /// are eligible as a clean victim before the true LRU block is evicted.
   /// 0 = derive from the machine's omega at install time:
   /// capacity - max(1, capacity/omega), which is 0 (exact LRU) at omega = 1
   /// and approaches capacity - 1 (protect only the MRU block) as omega
@@ -159,11 +163,7 @@ class BlockCache {
       return false;
     }
     ++stats_.write_hits;
-    Frame& f = frames_[e->frame];
-    if (!f.dirty) {
-      f.dirty = true;
-      ++resident_dirty_;
-    }
+    if (!frames_[e->frame].dirty) mark_dirty(e->frame);
     touch(e->frame);
     return true;
   }
@@ -208,10 +208,14 @@ class BlockCache {
     std::uint64_t block = 0;
     bool valid = false;
     bool dirty = false;
-    bool ref = false;  // kClock reference bit
+    bool ref = false;     // kClock reference bit
+    bool in_win = false;  // one of the window() coldest frames
     // Recency list links (head = MRU, tail = LRU).
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
+    // Clean-only recency list links, same order (valid while !dirty).
+    std::uint32_t clean_prev = kNil;
+    std::uint32_t clean_next = kNil;
   };
 
   struct Entry {
@@ -228,8 +232,16 @@ class BlockCache {
   }
 
   void touch(std::uint32_t frame);
+  /// The only two edits of the recency order.  Both keep the clean list,
+  /// the window membership and clean_in_win_ in step with it.
   void list_push_front(std::uint32_t frame);
   void list_unlink(std::uint32_t frame);
+  void clean_push_front(std::uint32_t frame);
+  void clean_unlink(std::uint32_t frame);
+  void mark_dirty(std::uint32_t frame);
+  /// Re-derives the clean list and clean_in_win_ from the recency list in
+  /// O(capacity), after flush() cleaned frames without touching them.
+  void rebuild_clean_list();
 
   /// Picks the policy's victim frame (the pool must be full).
   std::uint32_t pick_victim();
@@ -247,6 +259,13 @@ class BlockCache {
   std::vector<Sink*> sinks_;
   std::uint32_t head_ = kNil;  // MRU
   std::uint32_t tail_ = kNil;  // LRU
+  std::uint32_t clean_head_ = kNil;  // hottest clean frame
+  std::uint32_t clean_tail_ = kNil;  // coldest clean frame
+  // The window is the min(window_, listed frames) coldest frames; bnd_ is
+  // its hottest frame (kNil when empty).
+  std::uint32_t bnd_ = kNil;
+  std::size_t win_size_ = 0;
+  std::size_t clean_in_win_ = 0;
   std::size_t clock_hand_ = 0;
   std::size_t resident_ = 0;
   std::size_t resident_dirty_ = 0;

@@ -97,8 +97,6 @@ const IoStats& Machine::phase_io(std::uint32_t id) const {
 
 void Machine::enable_trace() { trace_ = std::make_unique<Trace>(); }
 
-void Machine::disable_trace() { trace_.reset(); }
-
 std::unique_ptr<Trace> Machine::take_trace() { return std::move(trace_); }
 
 std::uint32_t Machine::register_array(std::string name) {

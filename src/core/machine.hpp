@@ -177,7 +177,6 @@ class Machine {
   // --- tracing -------------------------------------------------------------
   /// Starts recording ops into a fresh trace (dropping any previous one).
   void enable_trace();
-  void disable_trace();
   bool tracing() const { return trace_ != nullptr; }
   /// The active trace, or nullptr when tracing is disabled.
   Trace* trace() { return trace_.get(); }

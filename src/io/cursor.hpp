@@ -54,8 +54,6 @@ class BlockCursor {
 
   /// Ticket of the most recent charged read.
   IoTicket last_ticket() const { return ticket_; }
-  bool cached() const { return valid_; }
-  std::uint64_t cached_block() const { return cached_block_; }
 
  private:
   const ExtArray<T>* arr_;

@@ -153,20 +153,6 @@ class ExtPriorityQueue {
     return result;
   }
 
-  /// Test-support: host-side (uncharged) check of the pop-correctness
-  /// invariant — while the min cache is non-empty, its LARGEST element must
-  /// be <= every unconsumed element stored in any run (so the cache always
-  /// holds a complete prefix of the queue's run-resident content).
-  bool debug_min_invariant() const {
-    if (min_cache_.empty()) return true;
-    for (const auto& level : levels_)
-      for (const Run& r : level)
-        for (std::size_t p = r.cursor; p < r.length; ++p)
-          if (less_(r.data.unsafe_host_view()[p], min_cache_.back()))
-            return false;
-    return true;
-  }
-
  private:
   static constexpr std::size_t kMaxLevels = 24;
 

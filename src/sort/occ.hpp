@@ -55,8 +55,6 @@ class OccLess {
     return !less_(a, b) && !less_(b, a);
   }
 
-  const Less& key_less() const { return less_; }
-
  private:
   Less less_;
 };

@@ -63,7 +63,6 @@ class EliasFano {
   }
 
   std::size_t size() const { return n_; }
-  unsigned low_bits() const { return l_; }
 
   /// The i-th encoded value (i < size()).
   std::uint64_t access(std::size_t i) const {

@@ -8,7 +8,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iostream>
+#include <map>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -783,6 +787,333 @@ TEST(CachedMachineTest, DestroyingArrayWithResidentBlocksThenFlushingIsSafe) {
   std::vector<std::uint64_t> back(8, 0);
   fresh.read_block(0, std::span<std::uint64_t>(back));
   EXPECT_EQ(back, blk);
+}
+
+// --- differential: O(1) victim choice vs the linear window scan -----------
+
+/// Reference model of the pool with the clean-first victim found the naive
+/// way: walk up to `window` frames from the cold end and take the first
+/// clean one, else the LRU frame.  Frame slots, the free list, the CLOCK
+/// hand, flush order and exception behaviour follow BlockCache's contract,
+/// so every policy's victims, write-backs and counters must match exactly.
+/// Linear time throughout; only for tests.
+class WindowScanCache {
+ public:
+  WindowScanCache(const CacheConfig& c, std::uint64_t omega)
+      : policy_(c.policy), frames_(c.capacity_blocks) {
+    const std::size_t cap = c.capacity_blocks;
+    for (std::size_t i = 0; i < cap; ++i)
+      free_.push_back(static_cast<std::uint32_t>(cap - 1 - i));
+    if (policy_ == CachePolicy::kCleanFirst) {
+      if (c.clean_window != 0)
+        window = c.clean_window;
+      else if (omega > 1)
+        window = cap - std::max<std::size_t>(
+                           1, cap / std::min<std::uint64_t>(omega, cap));
+    }
+  }
+
+  std::size_t window = 0;
+  CacheStats stats;
+  std::size_t resident = 0;
+  std::size_t resident_dirty = 0;
+
+  bool find_read(std::uint32_t a, std::uint64_t b) {
+    const int v = find(a, b);
+    if (v < 0) {
+      ++stats.read_misses;
+      return false;
+    }
+    ++stats.read_hits;
+    touch(static_cast<std::uint32_t>(v));
+    return true;
+  }
+
+  bool find_write(std::uint32_t a, std::uint64_t b) {
+    const int v = find(a, b);
+    if (v < 0) {
+      ++stats.write_misses;
+      return false;
+    }
+    ++stats.write_hits;
+    if (!frames_[v].dirty) {
+      frames_[v].dirty = true;
+      ++resident_dirty;
+    }
+    touch(static_cast<std::uint32_t>(v));
+    return true;
+  }
+
+  void insert(std::uint32_t a, std::uint64_t b, bool dirty,
+              BlockCache::Sink* sink) {
+    if (a >= sinks_.size()) sinks_.resize(a + 1, nullptr);
+    sinks_[a] = sink;
+    if (free_.empty()) evict_one();
+    const std::uint32_t v = free_.back();
+    free_.pop_back();
+    frames_[v] = Frame{a, b, true, dirty, true};
+    where_[{a, b}] = v;
+    order_.insert(order_.begin(), v);
+    ++resident;
+    if (dirty) ++resident_dirty;
+  }
+
+  std::size_t flush() {
+    ++stats.flushes;
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> dirty_blocks;
+    for (const Frame& f : frames_)
+      if (f.valid && f.dirty) dirty_blocks.emplace_back(f.array, f.block);
+    std::sort(dirty_blocks.begin(), dirty_blocks.end());
+    std::size_t written = 0;
+    auto mark_clean = [&](std::uint32_t a, std::uint64_t b) {
+      frames_[find(a, b)].dirty = false;
+      --resident_dirty;
+      ++stats.write_backs;
+      ++written;
+    };
+    for (std::size_t i = 0; i < dirty_blocks.size();) {
+      const std::uint32_t a = dirty_blocks[i].first;
+      if (sinks_[a] == nullptr) throw std::logic_error("no sink");
+      std::vector<std::uint64_t> run;
+      for (; i < dirty_blocks.size() && dirty_blocks[i].first == a; ++i)
+        run.push_back(dirty_blocks[i].second);
+      std::size_t done = 0;
+      try {
+        sinks_[a]->write_back(run, done);
+      } catch (...) {
+        for (std::size_t k = 0; k < done; ++k) mark_clean(a, run[k]);
+        throw;
+      }
+      for (const std::uint64_t b : run) mark_clean(a, b);
+    }
+    return written;
+  }
+
+  void invalidate_array(std::uint32_t a) {
+    if (a < sinks_.size()) sinks_[a] = nullptr;
+    for (std::uint32_t v = 0; v < frames_.size(); ++v) {
+      Frame& f = frames_[v];
+      if (!f.valid || f.array != a) continue;
+      if (f.dirty) {
+        ++stats.invalidated_dirty;
+        --resident_dirty;
+      }
+      order_.erase(std::find(order_.begin(), order_.end(), v));
+      where_.erase({f.array, f.block});
+      f = Frame{};
+      --resident;
+      free_.push_back(v);
+    }
+  }
+
+  bool contains(std::uint32_t a, std::uint64_t b) const {
+    return find(a, b) >= 0;
+  }
+  bool dirty(std::uint32_t a, std::uint64_t b) const {
+    const int v = find(a, b);
+    return v >= 0 && frames_[v].dirty;
+  }
+
+ private:
+  struct Frame {
+    std::uint32_t array = 0;
+    std::uint64_t block = 0;
+    bool valid = false;
+    bool dirty = false;
+    bool ref = false;
+  };
+
+  int find(std::uint32_t a, std::uint64_t b) const {
+    const auto it = where_.find({a, b});
+    return it == where_.end() ? -1 : static_cast<int>(it->second);
+  }
+
+  void touch(std::uint32_t v) {
+    if (policy_ == CachePolicy::kClock) {
+      frames_[v].ref = true;
+      return;
+    }
+    order_.erase(std::find(order_.begin(), order_.end(), v));
+    order_.insert(order_.begin(), v);
+  }
+
+  std::uint32_t pick_victim() {
+    if (policy_ == CachePolicy::kClock) {
+      for (;;) {
+        const std::size_t here = hand_;
+        hand_ = (hand_ + 1) % frames_.size();
+        Frame& f = frames_[here];
+        if (!f.valid) continue;
+        if (f.ref) {
+          f.ref = false;
+          continue;
+        }
+        return static_cast<std::uint32_t>(here);
+      }
+    }
+    // The linear window scan, cold end first.
+    for (std::size_t k = 0; k < window && k < order_.size(); ++k) {
+      const std::uint32_t v = order_[order_.size() - 1 - k];
+      if (!frames_[v].dirty) return v;
+    }
+    return order_.back();
+  }
+
+  void evict_one() {
+    const std::uint32_t v = pick_victim();
+    Frame& f = frames_[v];
+    if (f.dirty) {
+      if (sinks_[f.array] == nullptr) throw std::logic_error("no sink");
+      const std::uint64_t b = f.block;
+      std::size_t done = 0;
+      sinks_[f.array]->write_back(std::span<const std::uint64_t>(&b, 1),
+                                  done);
+      ++stats.write_backs;
+      ++stats.evictions_dirty;
+      --resident_dirty;
+    } else {
+      ++stats.evictions_clean;
+    }
+    order_.erase(std::find(order_.begin(), order_.end(), v));
+    where_.erase({f.array, f.block});
+    f = Frame{};
+    --resident;
+    free_.push_back(v);
+  }
+
+  CachePolicy policy_;
+  std::vector<Frame> frames_;
+  std::vector<std::uint32_t> free_;
+  std::vector<std::uint32_t> order_;  // recency, front = MRU
+  std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint32_t> where_;
+  std::vector<BlockCache::Sink*> sinks_;
+  std::size_t hand_ = 0;
+};
+
+/// Logs every written-back (array, block) into a shared sequence and throws
+/// when the shared countdown of write-back blocks reaches zero.
+struct ScheduledSink : BlockCache::Sink {
+  std::uint32_t array = 0;
+  std::vector<std::pair<std::uint32_t, std::uint64_t>>* log = nullptr;
+  std::size_t* fail_in = nullptr;  // 0 = disarmed
+  void write_back(std::span<const std::uint64_t> blocks,
+                  std::size_t& done) override {
+    for (const std::uint64_t b : blocks) {
+      if (*fail_in != 0 && --*fail_in == 0)
+        throw std::runtime_error("scheduled write-back failure");
+      log->emplace_back(array, b);
+      ++done;
+    }
+  }
+};
+
+TEST(BlockCacheTest, VictimsMatchWindowScanReference) {
+  constexpr std::uint32_t kArrays = 3;
+  std::size_t configs = 0;
+  std::size_t ops = 0;
+  std::size_t evictions = 0;
+  for (const CachePolicy policy :
+       {CachePolicy::kLru, CachePolicy::kClock, CachePolicy::kCleanFirst}) {
+    for (const std::size_t cap : {1, 2, 3, 8, 64, 256}) {
+      for (const std::size_t cw : {std::size_t{0}, std::size_t{1}, cap / 2,
+                                   cap - 1, cap}) {
+        for (const std::uint64_t omega : {1, 2, 16, 1024}) {
+          CacheConfig cc;
+          cc.capacity_blocks = cap;
+          cc.policy = policy;
+          cc.clean_window = cw;
+          BlockCache bc(cc, omega);
+          WindowScanCache ref(cc, omega);
+          ASSERT_EQ(bc.window(), ref.window);
+          SCOPED_TRACE(std::string(to_string(policy)) + " cap=" +
+                       std::to_string(cap) + " window=" +
+                       std::to_string(ref.window) +
+                       " omega=" + std::to_string(omega));
+          ++configs;
+
+          std::vector<std::pair<std::uint32_t, std::uint64_t>> log, ref_log;
+          std::size_t fail_in = 0, ref_fail_in = 0;
+          ScheduledSink sinks[kArrays], ref_sinks[kArrays];
+          for (std::uint32_t a = 0; a < kArrays; ++a) {
+            sinks[a].array = ref_sinks[a].array = a;
+            sinks[a].log = &log;
+            sinks[a].fail_in = &fail_in;
+            ref_sinks[a].log = &ref_log;
+            ref_sinks[a].fail_in = &ref_fail_in;
+          }
+          const std::uint64_t universe = 2 * cap + 4;
+          const std::uint64_t hot = cap / 2 + 2;
+          util::Rng rng(cap * 131 + cw * 7 + omega +
+                  static_cast<std::uint64_t>(policy) * 100003);
+          const std::size_t n_ops = 400 + 12 * cap;
+          for (std::size_t i = 0; i < n_ops; ++i, ++ops) {
+            // Phases of read-heavy, mixed and write-heavy traffic, so the
+            // window is sometimes all clean and sometimes all dirty.
+            const std::uint64_t write_pct = 20 + 35 * ((i / 97) % 3);
+            const std::uint32_t a =
+                static_cast<std::uint32_t>(rng.below(kArrays));
+            const std::uint64_t b =
+                rng.below(10) < 7 ? rng.below(hot) : rng.below(universe);
+            const std::uint64_t r = rng.below(100);
+            bool threw = false, ref_threw = false;
+            auto run = [](bool& flag, auto&& body) {
+              try {
+                body();
+              } catch (const std::exception&) {
+                flag = true;
+              }
+            };
+            if (r < 3) {
+              fail_in = ref_fail_in = 1 + rng.below(3);
+            } else if (r < 6) {
+              std::size_t n = 0, ref_n = 0;
+              run(threw, [&] { n = bc.flush(); });
+              run(ref_threw, [&] { ref_n = ref.flush(); });
+              ASSERT_EQ(n, ref_n);
+            } else if (r < 8) {
+              bc.invalidate_array(a);
+              ref.invalidate_array(a);
+            } else {
+              // A BlockStore transfer: look up, and on a miss make the
+              // block resident (clean after a read, dirty after a write).
+              const bool write = rng.below(100) < write_pct;
+              const bool hit =
+                  write ? bc.find_write(a, b) : bc.find_read(a, b);
+              ASSERT_EQ(hit, write ? ref.find_write(a, b)
+                                   : ref.find_read(a, b));
+              if (!hit) {
+                run(threw, [&] { bc.insert(a, b, write, &sinks[a]); });
+                run(ref_threw,
+                    [&] { ref.insert(a, b, write, &ref_sinks[a]); });
+              }
+            }
+            ASSERT_EQ(threw, ref_threw) << "op " << i;
+            ASSERT_EQ(bc.contains(a, b), ref.contains(a, b)) << "op " << i;
+            ASSERT_EQ(bc.dirty(a, b), ref.dirty(a, b)) << "op " << i;
+            ASSERT_EQ(log, ref_log) << "op " << i;
+            ASSERT_EQ(fail_in, ref_fail_in) << "op " << i;
+            ASSERT_EQ(bc.stats(), ref.stats) << "op " << i;
+            ASSERT_EQ(bc.resident(), ref.resident) << "op " << i;
+            ASSERT_EQ(bc.resident_dirty(), ref.resident_dirty) << "op " << i;
+            log.clear();
+            ref_log.clear();
+            if (i % 64 == 63 || i + 1 == n_ops) {
+              for (std::uint32_t aa = 0; aa < kArrays; ++aa)
+                for (std::uint64_t bb = 0; bb < universe; ++bb) {
+                  ASSERT_EQ(bc.contains(aa, bb), ref.contains(aa, bb));
+                  ASSERT_EQ(bc.dirty(aa, bb), ref.dirty(aa, bb));
+                }
+            }
+          }
+          evictions +=
+              bc.stats().evictions_clean + bc.stats().evictions_dirty;
+        }
+      }
+    }
+  }
+  std::cout << "[ victim differential ] " << configs << " configurations, "
+            << ops << " operations, " << evictions
+            << " evictions matched the window-scan reference\n";
 }
 
 }  // namespace

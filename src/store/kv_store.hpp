@@ -249,8 +249,11 @@ class KvStore {
 
           auto layout_phase = mach.phase("store.build.layout");
           layout_stream(sorted, in_payload, 0, 0, fences);
-          // `sorted` dies here; its blocks were only ever read after the
-          // sort, so no dirty write-backs are lost.
+          // The sort wrote `sorted`, so under a cache some of its blocks
+          // may still sit dirty in the pool.  Write them back (charged to
+          // the layout phase) before `sorted` dies and would drop them
+          // uncharged, as the durable path does.
+          mach.flush_cache();
         }
 
         auto index_phase = mach.phase("store.build.index");

@@ -503,6 +503,49 @@ TEST(KvStoreTest, BuildFlushesCacheBeforeReportingCost) {
             kv.build_reads() + mach.omega() * kv.build_writes());
 }
 
+TEST(KvStoreTest, CachedBuildDropsNoDirtyFrames) {
+  // The sort writes the temporary sorted run through the cache; a build
+  // that let that run die with dirty frames resident would drop their
+  // write-backs uncharged (counted in invalidated_dirty) and under-report
+  // build_writes.  512 inline records at B = 16: the 32-block sorted run
+  // and the 32-block log both fit a 64-block pool.
+  Dataset d;
+  util::Rng rng(23);
+  for (int i = 0; i < 512; ++i) {
+    Slot s;
+    s.key = rng.next() & ~1ull;
+    s.len = 1;
+    s.pos = rng.next();
+    d.slots.push_back(s);
+  }
+  auto build_writes = [&](std::size_t capacity, CachePolicy policy) {
+    Config c = cfg(4096, 16, 8);
+    c.cache.capacity_blocks = capacity;
+    c.cache.policy = policy;
+    Machine mach(c);
+    auto [slots, payload] = stage(mach, d);
+    KvStore kv(mach, StoreConfig{IndexKind::kFence, 8});
+    kv.build(slots, payload);
+    if (capacity != 0) {
+      EXPECT_EQ(mach.cache()->stats().invalidated_dirty, 0u);
+      EXPECT_EQ(mach.cache()->resident_dirty(), 0u);
+    }
+    return kv.build_writes();
+  };
+  // Every block the build writes is written once, so no pool coalesces
+  // any: the cached build pays exactly the uncached build's writes.
+  const std::uint64_t uncached = build_writes(0, CachePolicy::kLru);
+  EXPECT_EQ(uncached, 64u);
+  for (const CachePolicy policy :
+       {CachePolicy::kLru, CachePolicy::kClock, CachePolicy::kCleanFirst}) {
+    for (const std::size_t capacity : {8, 64}) {
+      SCOPED_TRACE(std::string(to_string(policy)) + " capacity " +
+                   std::to_string(capacity));
+      EXPECT_EQ(build_writes(capacity, policy), uncached);
+    }
+  }
+}
+
 TEST(KvStoreTest, CacheMakesRepeatGetsFree) {
   Config c = cfg(4096, 16, 8);
   c.cache.capacity_blocks = 64;

@@ -47,14 +47,36 @@ BlockCache::BlockCache(CacheConfig cfg, std::uint64_t omega) : cfg_(cfg) {
   }
 }
 
+void BlockCache::link_front(List& list, Links Frame::*links,
+                            std::uint32_t frame) {
+  Links& l = frames_[frame].*links;
+  l.prev = kNil;
+  l.next = list.head;
+  if (list.head != kNil) (frames_[list.head].*links).prev = frame;
+  list.head = frame;
+  if (list.tail == kNil) list.tail = frame;
+}
+
+void BlockCache::link_remove(List& list, Links Frame::*links,
+                             std::uint32_t frame) {
+  Links& l = frames_[frame].*links;
+  if (l.prev != kNil) {
+    (frames_[l.prev].*links).next = l.next;
+  } else {
+    list.head = l.next;
+  }
+  if (l.next != kNil) {
+    (frames_[l.next].*links).prev = l.prev;
+  } else {
+    list.tail = l.prev;
+  }
+  l.prev = l.next = kNil;
+}
+
 void BlockCache::list_push_front(std::uint32_t frame) {
   Frame& f = frames_[frame];
-  f.prev = kNil;
-  f.next = head_;
-  if (head_ != kNil) frames_[head_].prev = frame;
-  head_ = frame;
-  if (tail_ == kNil) tail_ = frame;
-  if (!f.dirty) clean_push_front(frame);
+  link_front(lru_, &Frame::lru, frame);
+  if (!f.dirty) link_front(clean_, &Frame::clean, frame);
   // While the window still covers the whole list, a new head joins it.
   if (win_size_ < window_) {
     f.in_win = true;
@@ -72,68 +94,34 @@ void BlockCache::list_unlink(std::uint32_t frame) {
     // window shrinks, and loses its boundary if that was this frame.
     f.in_win = false;
     if (!f.dirty) --clean_in_win_;
-    const std::uint32_t in = frames_[bnd_].prev;
+    const std::uint32_t in = frames_[bnd_].lru.prev;
     if (in != kNil) {
       frames_[in].in_win = true;
       if (!frames_[in].dirty) ++clean_in_win_;
       bnd_ = in;
     } else {
       --win_size_;
-      if (bnd_ == frame) bnd_ = f.next;
+      if (bnd_ == frame) bnd_ = f.lru.next;
     }
   }
-  if (!f.dirty) clean_unlink(frame);
-  if (f.prev != kNil) {
-    frames_[f.prev].next = f.next;
-  } else {
-    head_ = f.next;
-  }
-  if (f.next != kNil) {
-    frames_[f.next].prev = f.prev;
-  } else {
-    tail_ = f.prev;
-  }
-  f.prev = f.next = kNil;
-}
-
-void BlockCache::clean_push_front(std::uint32_t frame) {
-  Frame& f = frames_[frame];
-  f.clean_prev = kNil;
-  f.clean_next = clean_head_;
-  if (clean_head_ != kNil) frames_[clean_head_].clean_prev = frame;
-  clean_head_ = frame;
-  if (clean_tail_ == kNil) clean_tail_ = frame;
-}
-
-void BlockCache::clean_unlink(std::uint32_t frame) {
-  Frame& f = frames_[frame];
-  if (f.clean_prev != kNil) {
-    frames_[f.clean_prev].clean_next = f.clean_next;
-  } else {
-    clean_head_ = f.clean_next;
-  }
-  if (f.clean_next != kNil) {
-    frames_[f.clean_next].clean_prev = f.clean_prev;
-  } else {
-    clean_tail_ = f.clean_prev;
-  }
-  f.clean_prev = f.clean_next = kNil;
+  if (!f.dirty) link_remove(clean_, &Frame::clean, frame);
+  link_remove(lru_, &Frame::lru, frame);
 }
 
 void BlockCache::mark_dirty(std::uint32_t frame) {
   Frame& f = frames_[frame];
-  clean_unlink(frame);
+  link_remove(clean_, &Frame::clean, frame);
   if (f.in_win) --clean_in_win_;
   f.dirty = true;
   ++resident_dirty_;
 }
 
 void BlockCache::rebuild_clean_list() {
-  clean_head_ = clean_tail_ = kNil;
+  clean_ = List{};
   clean_in_win_ = 0;
-  for (std::uint32_t v = tail_; v != kNil; v = frames_[v].prev) {
+  for (std::uint32_t v = lru_.tail; v != kNil; v = frames_[v].lru.prev) {
     if (frames_[v].dirty) continue;
-    clean_push_front(v);
+    link_front(clean_, &Frame::clean, v);
     if (frames_[v].in_win) ++clean_in_win_;
   }
 }
@@ -145,7 +133,7 @@ void BlockCache::touch(std::uint32_t frame) {
       break;
     case CachePolicy::kLru:
     case CachePolicy::kCleanFirst:
-      if (head_ != frame) {
+      if (lru_.head != frame) {
         list_unlink(frame);
         list_push_front(frame);
       }
@@ -179,9 +167,9 @@ std::uint32_t BlockCache::pick_victim() {
       // kLru and the omega = 1 degeneration, whose window is empty) the
       // LRU frame.  The coldest clean frame is in the window exactly when
       // any clean frame is, since the window is a cold suffix of the list.
-      return clean_in_win_ > 0 ? clean_tail_ : tail_;
+      return clean_in_win_ > 0 ? clean_.tail : lru_.tail;
   }
-  return tail_;
+  return lru_.tail;
 }
 
 void BlockCache::evict_one() {

@@ -203,6 +203,16 @@ class BlockCache {
   static constexpr std::uint32_t kNil =
       std::numeric_limits<std::uint32_t>::max();
 
+  /// One frame's links in an intrusive, kNil-terminated frame list.
+  struct Links {
+    std::uint32_t prev = kNil;  // hotter neighbour
+    std::uint32_t next = kNil;  // colder neighbour
+  };
+  struct List {
+    std::uint32_t head = kNil;  // hottest
+    std::uint32_t tail = kNil;  // coldest
+  };
+
   struct Frame {
     std::uint32_t array = 0;
     std::uint64_t block = 0;
@@ -210,12 +220,8 @@ class BlockCache {
     bool dirty = false;
     bool ref = false;     // kClock reference bit
     bool in_win = false;  // one of the window() coldest frames
-    // Recency list links (head = MRU, tail = LRU).
-    std::uint32_t prev = kNil;
-    std::uint32_t next = kNil;
-    // Clean-only recency list links, same order (valid while !dirty).
-    std::uint32_t clean_prev = kNil;
-    std::uint32_t clean_next = kNil;
+    Links lru;    // in lru_ while valid
+    Links clean;  // in clean_ while valid and !dirty, in lru_'s order
   };
 
   struct Entry {
@@ -231,13 +237,14 @@ class BlockCache {
     return const_cast<BlockCache*>(this)->lookup(array, block);
   }
 
+  void link_front(List& list, Links Frame::*links, std::uint32_t frame);
+  void link_remove(List& list, Links Frame::*links, std::uint32_t frame);
+
   void touch(std::uint32_t frame);
   /// The only two edits of the recency order.  Both keep the clean list,
   /// the window membership and clean_in_win_ in step with it.
   void list_push_front(std::uint32_t frame);
   void list_unlink(std::uint32_t frame);
-  void clean_push_front(std::uint32_t frame);
-  void clean_unlink(std::uint32_t frame);
   void mark_dirty(std::uint32_t frame);
   /// Re-derives the clean list and clean_in_win_ from the recency list in
   /// O(capacity), after flush() cleaned frames without touching them.
@@ -257,10 +264,8 @@ class BlockCache {
   // so a vector of per-array maps beats hashing the pair.
   std::vector<std::unordered_map<std::uint64_t, Entry>> index_;
   std::vector<Sink*> sinks_;
-  std::uint32_t head_ = kNil;  // MRU
-  std::uint32_t tail_ = kNil;  // LRU
-  std::uint32_t clean_head_ = kNil;  // hottest clean frame
-  std::uint32_t clean_tail_ = kNil;  // coldest clean frame
+  List lru_;    // every valid frame, by recency (head = MRU)
+  List clean_;  // the clean ones among them
   // The window is the min(window_, listed frames) coldest frames; bnd_ is
   // its hottest frame (kNil when empty).
   std::uint32_t bnd_ = kNil;

@@ -29,8 +29,8 @@
 //  * clean-first eviction scaling — ns per eviction of a bare BlockCache
 //    whose omega-derived window is all dirty (every victim search finds
 //    no clean frame) at capacity 256 and 4096; guard: the 4096/256 ratio
-//    <= --max-evict-scaling (default 4).  A scan of the window would
-//    scale with it (240 -> 3840 frames, 16x);
+//    <= kMaxEvictScaling (4).  A scan of the window would scale with it
+//    (240 -> 3840 frames, 16x);
 //  * parallel-sweep speedup — a fixed grid of mergesort machines through
 //    harness::run_sweep at --jobs=1 vs --jobs=N; guard:
 //    >= --min-sweep-speedup, default 0 (report-only) because the measured
@@ -164,7 +164,6 @@ int main(int argc, char** argv) try {
   const double min_kernel_speedup = cli.f64("min-kernel-speedup", 2.0);
   const double min_batch_speedup = cli.f64("min-batch-speedup", 2.0);
   const double min_sweep_speedup = cli.f64("min-sweep-speedup", 0.0);
-  const double max_evict_scaling = cli.f64("max-evict-scaling", 4.0);
   const std::uint64_t batch = full ? (1u << 22) : (1u << 20);
 
   banner("M0 (meta)",
@@ -839,6 +838,7 @@ int main(int argc, char** argv) try {
   // and 3840 of 4096 frames; the victim choice must not grow with it.
   bool evict_ok = true;
   {
+    constexpr double kMaxEvictScaling = 4.0;
     struct NullSink : BlockCache::Sink {
       std::uint64_t blocks = 0;
       void write_back(std::span<const std::uint64_t> b,
@@ -871,11 +871,11 @@ int main(int argc, char** argv) try {
       vt.add_row({util::fmt(std::uint64_t(cap)),
                   util::fmt(std::uint64_t(bc.window())), util::fmt(m.ops),
                   util::fmt(ns, 1), util::fmt(scaling, 2)});
-      if (scaling > max_evict_scaling) {
+      if (scaling > kMaxEvictScaling) {
         std::cerr << "FAIL: clean-first eviction at capacity " << cap
                   << " costs " << util::fmt(scaling, 2)
                   << "x capacity 256, above the "
-                  << util::fmt(max_evict_scaling, 1) << "x ceiling\n";
+                  << util::fmt(kMaxEvictScaling, 1) << "x ceiling\n";
         evict_ok = false;
       }
     }

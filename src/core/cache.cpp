@@ -47,36 +47,41 @@ BlockCache::BlockCache(CacheConfig cfg, std::uint64_t omega) : cfg_(cfg) {
   }
 }
 
-void BlockCache::link_front(List& list, Links Frame::*links,
-                            std::uint32_t frame) {
-  Links& l = frames_[frame].*links;
+template <BlockCache::Links BlockCache::Frame::*L>
+void BlockCache::link_front(List& list, std::uint32_t frame) {
+  Links& l = frames_[frame].*L;
   l.prev = kNil;
   l.next = list.head;
-  if (list.head != kNil) (frames_[list.head].*links).prev = frame;
+  if (list.head != kNil) (frames_[list.head].*L).prev = frame;
   list.head = frame;
   if (list.tail == kNil) list.tail = frame;
 }
 
-void BlockCache::link_remove(List& list, Links Frame::*links,
-                             std::uint32_t frame) {
-  Links& l = frames_[frame].*links;
+template <BlockCache::Links BlockCache::Frame::*L>
+void BlockCache::link_remove(List& list, std::uint32_t frame) {
+  Links& l = frames_[frame].*L;
   if (l.prev != kNil) {
-    (frames_[l.prev].*links).next = l.next;
+    (frames_[l.prev].*L).next = l.next;
   } else {
     list.head = l.next;
   }
   if (l.next != kNil) {
-    (frames_[l.next].*links).prev = l.prev;
+    (frames_[l.next].*L).prev = l.prev;
   } else {
     list.tail = l.prev;
   }
   l.prev = l.next = kNil;
 }
 
-void BlockCache::list_push_front(std::uint32_t frame) {
+// `inline` (both are used only in this file) keeps touch(), the hit path,
+// free of calls.
+inline void BlockCache::list_push_front(std::uint32_t frame) {
   Frame& f = frames_[frame];
-  link_front(lru_, &Frame::lru, frame);
-  if (!f.dirty) link_front(clean_, &Frame::clean, frame);
+  link_front<&Frame::lru>(lru_, frame);
+  // Without a window (kLru, omega = 1) the victim is always the LRU
+  // frame, so the clean list and the window go unkept.
+  if (window_ == 0) return;
+  if (!f.dirty) link_front<&Frame::clean>(clean_, frame);
   // While the window still covers the whole list, a new head joins it.
   if (win_size_ < window_) {
     f.in_win = true;
@@ -86,7 +91,7 @@ void BlockCache::list_push_front(std::uint32_t frame) {
   }
 }
 
-void BlockCache::list_unlink(std::uint32_t frame) {
+inline void BlockCache::list_unlink(std::uint32_t frame) {
   Frame& f = frames_[frame];
   if (f.in_win) {
     // Leaving the window: the frame just hotter than the boundary takes
@@ -104,24 +109,25 @@ void BlockCache::list_unlink(std::uint32_t frame) {
       if (bnd_ == frame) bnd_ = f.lru.next;
     }
   }
-  if (!f.dirty) link_remove(clean_, &Frame::clean, frame);
-  link_remove(lru_, &Frame::lru, frame);
+  if (window_ != 0 && !f.dirty) link_remove<&Frame::clean>(clean_, frame);
+  link_remove<&Frame::lru>(lru_, frame);
 }
 
 void BlockCache::mark_dirty(std::uint32_t frame) {
   Frame& f = frames_[frame];
-  link_remove(clean_, &Frame::clean, frame);
+  if (window_ != 0) link_remove<&Frame::clean>(clean_, frame);
   if (f.in_win) --clean_in_win_;
   f.dirty = true;
   ++resident_dirty_;
 }
 
 void BlockCache::rebuild_clean_list() {
+  if (window_ == 0) return;
   clean_ = List{};
   clean_in_win_ = 0;
   for (std::uint32_t v = lru_.tail; v != kNil; v = frames_[v].lru.prev) {
     if (frames_[v].dirty) continue;
-    link_front(clean_, &Frame::clean, v);
+    link_front<&Frame::clean>(clean_, v);
     if (frames_[v].in_win) ++clean_in_win_;
   }
 }

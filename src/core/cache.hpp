@@ -215,13 +215,14 @@ class BlockCache {
 
   struct Frame {
     std::uint32_t array = 0;
-    std::uint64_t block = 0;
     bool valid = false;
     bool dirty = false;
     bool ref = false;     // kClock reference bit
     bool in_win = false;  // one of the window() coldest frames
+    std::uint64_t block = 0;
     Links lru;    // in lru_ while valid
-    Links clean;  // in clean_ while valid and !dirty, in lru_'s order
+    Links clean;  // in clean_ while valid and !dirty (and window_ > 0),
+                  // in lru_'s order
   };
 
   struct Entry {
@@ -237,12 +238,16 @@ class BlockCache {
     return const_cast<BlockCache*>(this)->lookup(array, block);
   }
 
-  void link_front(List& list, Links Frame::*links, std::uint32_t frame);
-  void link_remove(List& list, Links Frame::*links, std::uint32_t frame);
+  // Templated on the links member, so each list gets its own inlinable body.
+  template <Links Frame::*L>
+  void link_front(List& list, std::uint32_t frame);
+  template <Links Frame::*L>
+  void link_remove(List& list, std::uint32_t frame);
 
   void touch(std::uint32_t frame);
   /// The only two edits of the recency order.  Both keep the clean list,
-  /// the window membership and clean_in_win_ in step with it.
+  /// the window membership and clean_in_win_ in step with it (all three
+  /// stay empty when window_ is 0).
   void list_push_front(std::uint32_t frame);
   void list_unlink(std::uint32_t frame);
   void mark_dirty(std::uint32_t frame);

@@ -250,9 +250,11 @@ class KvStore {
           auto layout_phase = mach.phase("store.build.layout");
           layout_stream(sorted, in_payload, 0, 0, fences);
           // The sort wrote `sorted`, so under a cache some of its blocks
-          // may still sit dirty in the pool.  Write them back (charged to
-          // the layout phase) before `sorted` dies and would drop them
-          // uncharged, as the durable path does.
+          // may still sit dirty in the pool.  Write them back before
+          // `sorted` dies and would drop them uncharged, as the durable
+          // path does.  Both phase guards are still open here, so these
+          // write-backs count toward store.build.sort and
+          // store.build.layout alike (the two phases overlap on this path).
           mach.flush_cache();
         }
 
